@@ -13,7 +13,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -27,7 +26,6 @@ import (
 	cat "catamount"
 	"catamount/internal/api"
 	"catamount/internal/obs"
-	"catamount/internal/plan"
 	"catamount/internal/sweep"
 )
 
@@ -52,7 +50,6 @@ func main() {
 	format := flag.String("format", "table", "output: table or ndjson")
 	all := flag.Bool("all", false, "emit every candidate (annotated), not just the Pareto frontier")
 	listAccels := flag.Bool("list-accels", false, "list the accelerator catalog with aliases and exit")
-	bench := flag.String("bench", "", "run the reference bench harness and write its BENCH json to this path (\"-\" = stdout)")
 	logLevel := flag.String("log-level", "info", "log level (debug, info, warn, error)")
 	logFormat := flag.String("log-format", "text", "log format (text, json)")
 	traceOut := flag.String("trace-out", "",
@@ -79,11 +76,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "plan: -trace-out:", err)
 		}
 	}()
-
-	if *bench != "" {
-		runBench(ctx, *bench)
-		return
-	}
 
 	// The CLI builds the same versioned wire spec the server decodes —
 	// internal/api owns the schema; cat.PlanSpec is an alias of it.
@@ -136,34 +128,6 @@ func main() {
 	default:
 		fatalf("unknown -format %q (table, ndjson)", *format)
 	}
-}
-
-// runBench runs the fixed reference search through the bench harness and
-// writes the BENCH json snapshot the CI bench job publishes and gates on.
-func runBench(ctx context.Context, path string) {
-	rep, err := plan.RunBench(ctx, plan.ReferenceSearch())
-	if err != nil {
-		fatal(err)
-	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := plan.WriteReport(out, rep); err != nil {
-		fatal(err)
-	}
-	slog.Info("plan bench complete",
-		slog.Int("candidates", rep.Candidates),
-		slog.Float64("cold_s", rep.ColdSeconds),
-		slog.Float64("cold_plans_per_s", rep.ColdPlansPerSec),
-		slog.Float64("warm_s", rep.WarmSeconds),
-		slog.Float64("warm_plans_per_s", rep.WarmPlansPerSec),
-		slog.Float64("cold_over_warm", rep.ColdOverWarm))
 }
 
 func printTable(res *cat.PlanResult, all bool) {

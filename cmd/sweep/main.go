@@ -7,8 +7,6 @@
 //	sweep -table3 -accel v100,a100,h100,tpuv3,cpu              Table 3 on each accelerator
 //	sweep -figure 11 -accel all                                Figure 11 CSV per accelerator
 //	sweep -figure 12 -accel all                                Figure 12 CSV per accelerator
-//	sweep -bench BENCH.json                                    run the reference bench harness
-//	sweep -bench-batch BENCH.json                              batched-vs-scalar bench harness
 //
 // The -accel list accepts catalog names and aliases, @file.json custom
 // devices, and "all" for the whole catalog. Grid rows stream in a
@@ -16,14 +14,14 @@
 // accelerator) regardless of evaluation parallelism.
 //
 // -cpuprofile and -memprofile write pprof profiles of any mode (grid,
-// tables, figures, bench harnesses) for chasing hot-loop regressions:
+// tables, figures) for chasing hot-loop regressions:
 //
-//	sweep -bench - -cpuprofile cpu.pprof -memprofile mem.pprof >/dev/null
+//	sweep -params 5e7,2e8,1e9 -subbatch 32,128 -accel all \
+//	    -cpuprofile cpu.pprof -memprofile mem.pprof >/dev/null
 //	go tool pprof -top cpu.pprof
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -57,11 +55,6 @@ func main() {
 	workers := flag.Int("workers", 0, "evaluation workers (0 = GOMAXPROCS)")
 	table3 := flag.Bool("table3", false, "print Table 3 on each -accel instead of a grid sweep")
 	figure := flag.String("figure", "", "print figure \"11\" or \"12\" CSV on each -accel instead of a grid sweep")
-	bench := flag.String("bench", "", "run the reference bench harness and write its BENCH json to this path (\"-\" = stdout)")
-	benchCostModel := flag.String("bench-costmodel", "",
-		"run the graph-vs-perop cost-model bench harness and write its BENCH json to this path (\"-\" = stdout)")
-	benchBatch := flag.String("bench-batch", "",
-		"run the batched-vs-scalar bench harness and write its BENCH json to this path (\"-\" = stdout)")
 	listAccels := flag.Bool("list-accels", false, "list the accelerator catalog with aliases and exit")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -120,19 +113,6 @@ func main() {
 	}()
 
 	eng := cat.DefaultEngine()
-
-	if *bench != "" {
-		runBench(ctx, *bench)
-		return
-	}
-	if *benchCostModel != "" {
-		runCostModelBench(ctx, *benchCostModel)
-		return
-	}
-	if *benchBatch != "" {
-		runBatchBench(ctx, *benchBatch)
-		return
-	}
 
 	accs, err := resolveAccelerators(*accel)
 	if err != nil {
@@ -236,94 +216,6 @@ func emitter(format string) (func(cat.SweepPoint) error, func()) {
 		fatalf("unknown -format %q (ndjson, csv, table)", format)
 		return nil, nil
 	}
-}
-
-// runBench runs the fixed reference grid through the bench harness and
-// writes the BENCH json snapshot the CI bench job publishes and gates on.
-func runBench(ctx context.Context, path string) {
-	rep, err := sweep.RunBench(ctx, sweep.ReferenceSpec())
-	if err != nil {
-		fatal(err)
-	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := sweep.WriteReport(out, rep); err != nil {
-		fatal(err)
-	}
-	slog.Info("bench complete",
-		slog.Int("points", rep.GridPoints),
-		slog.Float64("cold_s", rep.ColdSeconds),
-		slog.Float64("cold_pts_per_s", rep.ColdPointsPerSec),
-		slog.Float64("warm_s", rep.WarmSeconds),
-		slog.Float64("warm_pts_per_s", rep.WarmPointsPerSec),
-		slog.Float64("cold_over_warm", rep.ColdOverWarm),
-		slog.Float64("allocs_per_point", rep.AllocsPerPoint))
-}
-
-// runCostModelBench runs the reference grid under both step-time backends
-// and writes the BENCH json snapshot the CI bench job publishes and gates
-// on.
-func runCostModelBench(ctx context.Context, path string) {
-	rep, err := sweep.RunCostModelBench(ctx)
-	if err != nil {
-		fatal(err)
-	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := sweep.WriteCostModelReport(out, rep); err != nil {
-		fatal(err)
-	}
-	slog.Info("costmodel bench complete",
-		slog.Int("points", rep.GridPoints),
-		slog.Float64("graph_proj_per_s", rep.GraphProjectionsPerSec),
-		slog.Float64("graph_allocs", rep.GraphAllocsPerProjection),
-		slog.Float64("perop_proj_per_s", rep.PerOpProjectionsPerSec),
-		slog.Float64("perop_allocs", rep.PerOpAllocsPerProjection),
-		slog.Float64("perop_over_graph", rep.PerOpOverGraph))
-}
-
-// runBatchBench runs the reference grid batched and as a scalar per-point
-// replay and writes the BENCH json snapshot the CI bench job publishes and
-// gates on.
-func runBatchBench(ctx context.Context, path string) {
-	rep, err := sweep.RunBatchBench(ctx)
-	if err != nil {
-		fatal(err)
-	}
-	out := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := sweep.WriteBatchBenchReport(out, rep); err != nil {
-		fatal(err)
-	}
-	slog.Info("batch bench complete",
-		slog.Int("points", rep.GridPoints),
-		slog.Float64("batched_pts_per_s", rep.BatchedPointsPerSec),
-		slog.Float64("batched_bytes_per_point", rep.BatchedBytesPerPoint),
-		slog.Float64("scalar_pts_per_s", rep.ScalarPointsPerSec),
-		slog.Float64("batched_over_scalar", rep.BatchedOverScalar),
-		slog.Float64("perop_over_graph", rep.PerOpOverGraph),
-		slog.Float64("bytes_reduction", rep.BytesReduction))
 }
 
 // resolveAccelerators parses the -accel list: names, aliases, @file.json,

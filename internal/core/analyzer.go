@@ -121,14 +121,7 @@ func (a *Analyzer) SizeForParams(target float64) (float64, error) {
 // trace (if any) into the stage spans; pass context.Background() outside a
 // request.
 func (a *Analyzer) Characterize(ctx context.Context, size, batch float64, policy graph.SchedulePolicy) (Requirements, error) {
-	return a.characterize(ctx, a.newSlots(), &graph.FootprintScratch{}, size, batch, policy)
-}
-
-// characterize is Characterize with caller-owned scratch, so sweep workers
-// reuse their buffers across points.
-func (a *Analyzer) characterize(ctx context.Context, slots []float64, fp *graph.FootprintScratch,
-	size, batch float64, policy graph.SchedulePolicy) (Requirements, error) {
-
+	slots, fp := a.newSlots(), &graph.FootprintScratch{}
 	sp := obs.StartSpan(ctx, "characterize", stageCharacterize)
 	ctx = sp.Attach(ctx)
 	defer sp.End()
@@ -190,17 +183,12 @@ func (a *Analyzer) NewSession() *Session {
 // Analyzer returns the compiled session the scratchpad evaluates through.
 func (s *Session) Analyzer() *Analyzer { return s.a }
 
-// Characterize is Analyzer.Characterize over the session's reused buffers.
-func (s *Session) Characterize(ctx context.Context, size, batch float64, policy graph.SchedulePolicy) (Requirements, error) {
-	return s.a.characterize(ctx, s.slots, &s.fp, size, batch, policy)
-}
-
 // CharacterizeBatch evaluates a whole batch of (size, batch) points in one
 // structure-of-arrays pass: every compiled total runs once over all rows,
 // the unique tensor-byte programs feed per-row footprint simulations, and —
 // when withOps is set — the unique node-cost programs fill a shared per-op
 // matrix for batched step-time backends. Row i of the returned slice is
-// bit-for-bit identical to Characterize(sizes[i], batches[i], policy).
+// bit-for-bit identical to Analyzer.Characterize(sizes[i], batches[i], policy).
 //
 // reqs is grown as needed and returned. The returned CostsBatch aliases
 // session buffers and is valid until the next call on this session.
@@ -571,15 +559,6 @@ func (a *Analyzer) StepCosts(size, batch float64, full bool) costmodel.Costs {
 	slots := a.newSlots()
 	a.bind(slots, size, batch)
 	c, _, _ := a.costsAt(slots, nil, nil, full)
-	return c
-}
-
-// StepCosts is Analyzer.StepCosts over the session's reused slot buffer.
-// The returned Costs owns its Ops slice (freshly allocated per call when
-// full), so callers may retain it across points.
-func (s *Session) StepCosts(size, batch float64, full bool) costmodel.Costs {
-	s.a.bind(s.slots, size, batch)
-	c, _, _ := s.a.costsAt(s.slots, nil, nil, full)
 	return c
 }
 

@@ -2,53 +2,32 @@ package plan
 
 import (
 	"context"
-	"os"
 	"testing"
 )
 
-// TestPlanBenchFloors is the CI regression gate on the BENCH_pr4.json
-// trajectory: the reference search must stay above a pinned warm
-// throughput floor. The floor is conservative — an order of magnitude
-// under typical dev-machine results — so only a real regression (losing
-// characterization sharing, per-candidate allocation blowup) trips it,
-// not machine noise. Set PLAN_BENCH_OUT to also write the snapshot.
-func TestPlanBenchFloors(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench harness skipped in -short")
+// referenceSearch is the fixed search BenchmarkPlanSearch times: the
+// frontier word LM over the full five-entry catalog, two subbatches,
+// eleven worker counts, and all three strategies — 330 candidate plans
+// composed from two characterizations and one size solve.
+func referenceSearch() Spec {
+	var workers []int
+	for w := 1; w <= 1024; w *= 2 {
+		workers = append(workers, w)
 	}
-	rep, err := RunBench(context.Background(), ReferenceSearch())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Candidates != 330 {
-		t.Fatalf("reference search drifted: %d candidates, want 330", rep.Candidates)
-	}
-	if rep.FrontierSize == 0 {
-		t.Fatal("reference search produced an empty frontier")
-	}
-	const warmFloor = 500.0 // plans/sec
-	if rep.WarmPlansPerSec < warmFloor {
-		t.Errorf("warm throughput %.1f plans/s below pinned floor %.0f", rep.WarmPlansPerSec, warmFloor)
-	}
-	t.Logf("%d candidates: cold %.2fs (%.0f plans/s), warm %.3fs (%.0f plans/s, %.1fx)",
-		rep.Candidates, rep.ColdSeconds, rep.ColdPlansPerSec,
-		rep.WarmSeconds, rep.WarmPlansPerSec, rep.ColdOverWarm)
-	if path := os.Getenv("PLAN_BENCH_OUT"); path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if err := WriteReport(f, rep); err != nil {
-			t.Fatal(err)
-		}
+	return Spec{
+		Domain: "wordlm",
+		Accelerators: []string{
+			"target-v100-class", "a100-class", "h100-class", "tpuv3-class", "cpu-class",
+		},
+		Subbatches:   []float64{32, 128},
+		WorkerCounts: workers,
 	}
 }
 
 // BenchmarkPlanSearch measures one warm reference search end to end.
 func BenchmarkPlanSearch(b *testing.B) {
 	src := newBuildSource()
-	p, err := New(src, ReferenceSearch())
+	p, err := New(src, referenceSearch())
 	if err != nil {
 		b.Fatal(err)
 	}

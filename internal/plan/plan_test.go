@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"catamount/internal/core"
@@ -13,6 +14,44 @@ import (
 	"catamount/internal/hw"
 	"catamount/internal/models"
 )
+
+// buildSource is a minimal memoizing SessionSource for tests: a fresh one
+// reproduces the cold (build+compile) experience without dragging the full
+// Engine in.
+type buildSource struct {
+	mu sync.Mutex
+	m  map[models.Domain]*buildEntry
+}
+
+type buildEntry struct {
+	once sync.Once
+	a    *core.Analyzer
+	err  error
+}
+
+func newBuildSource() *buildSource {
+	return &buildSource{m: make(map[models.Domain]*buildEntry)}
+}
+
+// Analyzer builds and compiles a domain's model at most once.
+func (s *buildSource) Analyzer(d models.Domain) (*core.Analyzer, error) {
+	s.mu.Lock()
+	ent, ok := s.m[d]
+	if !ok {
+		ent = &buildEntry{}
+		s.m[d] = ent
+	}
+	s.mu.Unlock()
+	ent.once.Do(func() {
+		m, err := models.Build(d)
+		if err != nil {
+			ent.err = err
+			return
+		}
+		ent.a, ent.err = core.NewAnalyzer(m)
+	})
+	return ent.a, ent.err
+}
 
 // smallSpec is a ≤200-candidate search used by the equivalence tests:
 // 2 accelerators × 2 subbatches × 4 worker counts × 3 strategies = 48.

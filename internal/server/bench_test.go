@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"testing"
 )
 
@@ -84,6 +82,37 @@ func BenchmarkServerFrontierCached(b *testing.B) {
 	}
 }
 
+// benchPaths is the hot working set: distinct canonical keys spread across
+// cache shards, so the concurrent load exercises shard fan-out rather than
+// hammering a single entry's lock.
+func benchPaths() []string {
+	paths := make([]string, 0, 32)
+	for i := 0; i < 32; i++ {
+		paths = append(paths, fmt.Sprintf(
+			"/v1/analyze?domain=wordlm&params=1.03e9&batch=%d", 64+i))
+	}
+	return paths
+}
+
+// benchRequests warms every path through the server once (filling the
+// cache) and returns the reusable request objects for the timed runs.
+func benchRequests(s *Server, paths []string) ([]*http.Request, error) {
+	reqs := make([]*http.Request, 0, len(paths))
+	for _, p := range paths {
+		req, err := http.NewRequest(http.MethodGet, p, nil)
+		if err != nil {
+			return nil, err
+		}
+		rec := &verdictRecorder{hdr: make(http.Header)}
+		s.ServeHTTP(rec, req)
+		if rec.status >= 400 {
+			return nil, fmt.Errorf("warming %s: status %d", p, rec.status)
+		}
+		reqs = append(reqs, req)
+	}
+	return reqs, nil
+}
+
 // BenchmarkServerAnalyzeParallel drives the cached hot path from
 // b.RunParallel workers over a spread of keys — the measurement that
 // shows (run with -cpu 1,4) whether cached serving scales with cores or
@@ -113,81 +142,6 @@ func BenchmarkServerAnalyzeParallel(b *testing.B) {
 	b.StopTimer()
 	if m := s.Metrics(); m.CacheMisses > int64(len(paths)) {
 		b.Fatalf("hot path recomputed: %d misses for %d keys", m.CacheMisses, len(paths))
-	}
-}
-
-// TestServeBenchFloors is the CI regression gate on the BENCH_pr10.json
-// trajectory: single-threaded hot throughput must stay above a pinned
-// floor, and on machines with enough cores the concurrent levels must
-// actually scale (8 goroutines ≥3x single-threaded with GOMAXPROCS ≥ 8,
-// ≥2x at 4 with GOMAXPROCS ≥ 4). On smaller machines — including the
-// 1-core container this repo often tests in, where there is one shard and
-// nothing to scale — the ratios are logged, not enforced. Set
-// SERVE_BENCH_OUT to also write the BENCH json snapshot the CI bench job
-// uploads.
-func TestServeBenchFloors(t *testing.T) {
-	if testing.Short() {
-		t.Skip("concurrent-load harness is not run in -short mode")
-	}
-	rep, err := RunServeBench(sharedEngine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range rep.Hot {
-		t.Logf("hot      g=%d: %.0f req/s, p50 %.1fµs, p99 %.1fµs",
-			p.Goroutines, p.ReqPerSec, p.P50Micros, p.P99Micros)
-	}
-	for _, p := range rep.Baseline {
-		t.Logf("baseline g=%d: %.0f req/s, p50 %.1fµs, p99 %.1fµs",
-			p.Goroutines, p.ReqPerSec, p.P50Micros, p.P99Micros)
-	}
-	t.Logf("scaling %.2fx (8g vs 1g), lock-scaling %.2fx (sharded vs single-mutex at 8g), %d shards, GOMAXPROCS %d",
-		rep.ScalingX, rep.LockScalingX, rep.Shards, rep.CPUs)
-
-	// Conservative single-threaded floor: roughly 10x under a 1-core
-	// container's measured hot-path throughput, so it catches structural
-	// regressions (a recompute on the hot path, an accidental O(n) scan),
-	// not machine noise.
-	const hotFloor = 10000.0 // req/s, single goroutine
-	if rep.Hot[0].ReqPerSec < hotFloor {
-		t.Errorf("hot single-threaded throughput %.0f req/s below pinned floor %.0f",
-			rep.Hot[0].ReqPerSec, hotFloor)
-	}
-
-	ratio4 := 0.0
-	if rep.Hot[0].ReqPerSec > 0 {
-		ratio4 = rep.Hot[1].ReqPerSec / rep.Hot[0].ReqPerSec
-	}
-	switch {
-	case runtime.GOMAXPROCS(0) >= 8:
-		if rep.ScalingX < 3 {
-			t.Errorf("8-goroutine scaling %.2fx below pinned floor 3x on %d-way machine",
-				rep.ScalingX, runtime.GOMAXPROCS(0))
-		}
-	case runtime.GOMAXPROCS(0) >= 4:
-		if ratio4 < 2 {
-			t.Errorf("4-goroutine scaling %.2fx below pinned floor 2x on %d-way machine",
-				ratio4, runtime.GOMAXPROCS(0))
-		}
-	default:
-		t.Logf("GOMAXPROCS %d: scaling floors logged only", runtime.GOMAXPROCS(0))
-	}
-	// Sharding must never make contention worse than the single mutex it
-	// replaced; the margin absorbs scheduler noise.
-	if runtime.GOMAXPROCS(0) >= 4 && rep.LockScalingX < 0.8 {
-		t.Errorf("lock-scaling %.2fx: sharded cache slower than single-mutex baseline", rep.LockScalingX)
-	}
-
-	if path := os.Getenv("SERVE_BENCH_OUT"); path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if err := WriteServeBenchReport(f, rep); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", path)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"container/list"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -11,7 +12,7 @@ import (
 )
 
 // These property tests pin the sharded response cache to the original
-// single-mutex lruCache, which stays in-tree as the behavioral oracle: a
+// single-mutex lruCache, kept at the end of this file as the oracle: a
 // single-shard shard.LRU must be operation-for-operation identical to it,
 // and a multi-shard one must be identical per shard (each shard is an
 // independent LRU over its key subset and capacity slice).
@@ -143,4 +144,69 @@ func TestServerConcurrentGetsDuringEvictionChurn(t *testing.T) {
 	if m.CacheEvictions == 0 {
 		t.Fatalf("hammer produced no evictions: %+v", m)
 	}
+}
+
+// lruCache is the original single-mutex LRU response cache, kept as the
+// reference implementation the property tests above compare against. The
+// serving hot path itself runs on shard.LRU (see server.go), whose
+// single-shard configuration reproduces exactly this cache's observable
+// behavior.
+type lruCache struct {
+	mu       sync.Mutex
+	capacity int
+	order    *list.List // front = most recent
+	items    map[string]*list.Element
+}
+
+type lruEntry struct {
+	key string
+	val []byte
+}
+
+func newLRU(capacity int) *lruCache {
+	if capacity < 1 {
+		capacity = 1
+	}
+	return &lruCache{
+		capacity: capacity,
+		order:    list.New(),
+		items:    make(map[string]*list.Element, capacity),
+	}
+}
+
+// get returns the cached payload and refreshes its recency.
+func (c *lruCache) get(key string) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	c.order.MoveToFront(el)
+	return el.Value.(*lruEntry).val, true
+}
+
+// add inserts (or refreshes) a payload, evicting the least-recently-used
+// entry beyond capacity.
+func (c *lruCache) add(key string, val []byte) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		el.Value.(*lruEntry).val = val
+		c.order.MoveToFront(el)
+		return
+	}
+	c.items[key] = c.order.PushFront(&lruEntry{key: key, val: val})
+	for c.order.Len() > c.capacity {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.items, oldest.Value.(*lruEntry).key)
+	}
+}
+
+// len reports the live entry count.
+func (c *lruCache) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }

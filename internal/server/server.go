@@ -44,11 +44,6 @@ type Config struct {
 	Engine *cat.Engine
 	// CacheEntries bounds the LRU response cache (default 1024).
 	CacheEntries int
-	// CacheShards overrides the response cache's shard fan-out (default:
-	// a power of two derived from GOMAXPROCS). 1 forces the single-mutex
-	// layout — the contention baseline the serve bench harness measures
-	// the sharded layout against.
-	CacheShards int
 	// MaxInFlight bounds concurrently admitted requests
 	// (default 4×GOMAXPROCS).
 	MaxInFlight int
@@ -160,7 +155,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		eng:            cfg.Engine,
-		cache:          shard.NewLRU[[]byte](cfg.CacheEntries, cfg.CacheShards),
+		cache:          shard.NewLRU[[]byte](cfg.CacheEntries, 0),
 		flights:        newFlightGroup(),
 		sem:            make(chan struct{}, cfg.MaxInFlight),
 		computeSem:     make(chan struct{}, cfg.MaxInFlight),

@@ -3,7 +3,6 @@ package sweep
 import (
 	"context"
 	"math"
-	"os"
 	"testing"
 )
 
@@ -34,8 +33,8 @@ func TestPerOpDominatesGraphOnReferenceGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full reference grid under two backends")
 	}
-	graphSpec := ReferenceSpec()
-	peropSpec := ReferenceSpec()
+	graphSpec := referenceSpec()
+	peropSpec := referenceSpec()
 	peropSpec.CostModel = "perop"
 
 	graph := collectGrid(t, graphSpec)
@@ -98,55 +97,5 @@ func TestSweepSpecCostModelValidation(t *testing.T) {
 		if _, err := New(sharedSource, ok); err != nil {
 			t.Fatalf("costmodel %q rejected: %v", name, err)
 		}
-	}
-}
-
-// TestCostModelBenchFloors is the CI regression gate on the BENCH_pr5.json
-// trajectory: both backends must stay above a pinned warm projections/sec
-// floor, and the per-op overhead must stay bounded. Floors are
-// conservative (roughly 10x under a 1-core container's measured numbers)
-// so they catch structural regressions — recompiling per point, per-op
-// evaluation leaking into graph-backend cells — not machine noise. Set
-// COSTMODEL_BENCH_OUT to also write the snapshot the CI bench job uploads.
-func TestCostModelBenchFloors(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench harness runs the full reference grid twice")
-	}
-	rep, err := RunCostModelBench(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("graph %.3fs (%.0f proj/s, %.1f allocs), perop %.3fs (%.0f proj/s, %.1f allocs), %.2fx overhead",
-		rep.GraphWarmSeconds, rep.GraphProjectionsPerSec, rep.GraphAllocsPerProjection,
-		rep.PerOpWarmSeconds, rep.PerOpProjectionsPerSec, rep.PerOpAllocsPerProjection,
-		rep.PerOpOverGraph)
-
-	const (
-		graphFloor  = 100.0 // projections/sec; mirrors TestSweepBenchFloors
-		peropFloor  = 40.0  // projections/sec; node-cost evaluation costs more
-		maxOverhead = 30.0  // perop may not be more than 30x slower than graph
-	)
-	if rep.GraphProjectionsPerSec < graphFloor {
-		t.Errorf("graph backend %.1f projections/s below pinned floor %.0f",
-			rep.GraphProjectionsPerSec, graphFloor)
-	}
-	if rep.PerOpProjectionsPerSec < peropFloor {
-		t.Errorf("per-op backend %.1f projections/s below pinned floor %.0f",
-			rep.PerOpProjectionsPerSec, peropFloor)
-	}
-	if rep.PerOpOverGraph > maxOverhead {
-		t.Errorf("per-op overhead %.1fx above pinned ceiling %.0fx", rep.PerOpOverGraph, maxOverhead)
-	}
-
-	if path := os.Getenv("COSTMODEL_BENCH_OUT"); path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if err := WriteCostModelReport(f, rep); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", path)
 	}
 }

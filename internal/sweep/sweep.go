@@ -108,7 +108,7 @@ type Runner struct {
 	stageStepName string
 
 	// pool recycles per-worker session maps across Run calls, so repeated
-	// runs (the server, the bench harness) keep their evaluation buffers.
+	// runs (the server, the benchmark) keep their evaluation buffers.
 	pool sync.Pool
 }
 

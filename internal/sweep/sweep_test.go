@@ -4,11 +4,11 @@ import (
 	"context"
 	stdcsv "encoding/csv"
 	"errors"
-	"os"
 	"strings"
 	"sync"
 	"testing"
 
+	"catamount/internal/core"
 	"catamount/internal/hw"
 	"catamount/internal/models"
 )
@@ -16,6 +16,44 @@ import (
 // sharedSource keeps model build+compile cost to once for the whole test
 // binary.
 var sharedSource = newBuildSource()
+
+// buildSource is a minimal memoizing SessionSource for tests: a fresh one
+// reproduces the cold (build+compile per domain) experience without
+// dragging the full Engine in.
+type buildSource struct {
+	mu sync.Mutex
+	m  map[models.Domain]*buildEntry
+}
+
+type buildEntry struct {
+	once sync.Once
+	a    *core.Analyzer
+	err  error
+}
+
+func newBuildSource() *buildSource {
+	return &buildSource{m: make(map[models.Domain]*buildEntry)}
+}
+
+// Analyzer builds and compiles a domain's model at most once.
+func (s *buildSource) Analyzer(d models.Domain) (*core.Analyzer, error) {
+	s.mu.Lock()
+	ent, ok := s.m[d]
+	if !ok {
+		ent = &buildEntry{}
+		s.m[d] = ent
+	}
+	s.mu.Unlock()
+	ent.once.Do(func() {
+		m, err := models.Build(d)
+		if err != nil {
+			ent.err = err
+			return
+		}
+		ent.a, ent.err = core.NewAnalyzer(m)
+	})
+	return ent.a, ent.err
+}
 
 func collect(t *testing.T, r *Runner) []Point {
 	t.Helper()
@@ -224,8 +262,8 @@ func TestYieldErrorAborts(t *testing.T) {
 }
 
 func TestRunIsRepeatable(t *testing.T) {
-	// The same Runner may stream its grid any number of times (the bench
-	// harness re-runs warm); results must match exactly.
+	// The same Runner may stream its grid any number of times (the server
+	// and the benchmark re-run warm); results must match exactly.
 	r, err := New(sharedSource, Spec{Domains: []string{"nmt"}, Params: []float64{1e8}})
 	if err != nil {
 		t.Fatal(err)
@@ -261,53 +299,6 @@ func TestConcurrentAnalyzerBuildIsSafe(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestSweepBenchFloors is the CI regression gate on the BENCH_*.json
-// trajectory: the reference grid must stay above a pinned throughput floor
-// and below a pinned allocation ceiling. The floors are conservative —
-// roughly 10x under / 20x over a 1-core container's measured numbers
-// (960 points/s warm, 2.7 allocs/point) — so they catch structural
-// regressions (recompiling per point, losing cell amortization, per-point
-// allocation creep), not machine noise. Set SWEEP_BENCH_OUT to also write
-// the BENCH json snapshot the CI bench job uploads.
-func TestSweepBenchFloors(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench harness runs the full reference grid")
-	}
-	rep, err := RunBench(context.Background(), ReferenceSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("cold %.2fs (%.0f pts/s), warm %.3fs (%.0f pts/s, %.1fx), %.1f allocs/pt, %.0f B/pt",
-		rep.ColdSeconds, rep.ColdPointsPerSec, rep.WarmSeconds, rep.WarmPointsPerSec,
-		rep.ColdOverWarm, rep.AllocsPerPoint, rep.BytesPerPoint)
-
-	const (
-		warmFloor    = 100.0 // points/sec
-		allocCeiling = 64.0  // allocs/point
-	)
-	if rep.WarmPointsPerSec < warmFloor {
-		t.Errorf("warm throughput %.1f points/s below pinned floor %.0f", rep.WarmPointsPerSec, warmFloor)
-	}
-	if rep.AllocsPerPoint > allocCeiling {
-		t.Errorf("allocations %.1f/point above pinned ceiling %.0f", rep.AllocsPerPoint, allocCeiling)
-	}
-	if rep.ColdOverWarm < 2 {
-		t.Errorf("cold/warm ratio %.1fx below 2x: grid no longer amortizes model build+compile", rep.ColdOverWarm)
-	}
-
-	if path := os.Getenv("SWEEP_BENCH_OUT"); path != "" {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if err := WriteReport(f, rep); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", path)
-	}
 }
 
 // TestEncodeFormats checks the two wire encodings stay parseable and
