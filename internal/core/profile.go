@@ -62,9 +62,11 @@ func profileCompiled(c *graph.Compiled, slots []float64) (*Profile, error) {
 	kind := make(map[string]*OpKindProfile)
 	group := make(map[string]*GroupProfile)
 	p := &Profile{}
+	costs := c.CostValues(slots, nil)
+	flopIx, byteIx := c.CostIndexes()
 	for i, n := range g.Nodes() {
-		f := c.NodeFLOPs[i].Eval(slots)
-		by := c.NodeBytes[i].Eval(slots)
+		f := costs[flopIx[i]]
+		by := costs[byteIx[i]]
 		k := n.Op.Kind()
 		kp, ok := kind[k]
 		if !ok {
@@ -86,11 +88,13 @@ func profileCompiled(c *graph.Compiled, slots []float64) (*Profile, error) {
 		p.TotalFLOPs += f
 		p.TotalBytes += by
 	}
+	sizes := c.TensorValues(slots, nil)
+	tensorIx := c.TensorIndexes()
 	for i, t := range g.Tensors() {
 		if t.Kind != graph.Param {
 			continue
 		}
-		by := c.TensorBytes[i].Eval(slots)
+		by := sizes[tensorIx[i]]
 		if gp, ok := group[t.Group]; ok {
 			gp.ParamBytes += by
 		} else {

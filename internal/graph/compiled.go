@@ -8,10 +8,10 @@ import (
 
 // Compiled is a precompiled analysis bundle for one graph: every node's
 // FLOP/byte expression and every tensor's byte expression lowered into
-// slot-indexed programs against one shared symbol table, plus the headline
-// totals. Build it once per graph, then sweep by writing slot values and
-// running programs — no expression re-derivation, no tree walking, no map
-// lookups per point.
+// slot-indexed programs against one shared symbol table, the headline
+// totals, and the topology flattened for the footprint simulator. Build it
+// once per graph, then sweep by writing slot values and running programs —
+// no expression re-derivation, no tree walking, no map lookups per point.
 //
 // A Compiled is immutable after construction and safe for concurrent use;
 // callers supply their own slot buffers (NewSlots), one per goroutine.
@@ -19,12 +19,6 @@ type Compiled struct {
 	Graph *Graph
 	// Syms maps symbol names to slot indices for every program below.
 	Syms *symbolic.SymTab
-
-	// NodeFLOPs / NodeBytes hold per-node cost programs in Nodes() order.
-	NodeFLOPs []*symbolic.Program
-	NodeBytes []*symbolic.Program
-	// TensorBytes holds per-tensor byte-size programs in Tensors() order.
-	TensorBytes []*symbolic.Program
 
 	// ParamCount, TotalFLOPs, TotalBytes, and IO are the graph-level totals.
 	ParamCount *symbolic.Program
@@ -36,20 +30,23 @@ type Compiled struct {
 	// expressions across thousands of structurally identical layers (a
 	// 47k-node speech graph compiles to under a hundred unique node-cost
 	// programs), so evaluation runs the unique programs and gathers per-node
-	// values by index. NodeFLOPs[i] aliases costProgs[nodeFLOPIx[i]], and
-	// likewise for NodeBytes and TensorBytes, so per-node iteration keeps
-	// working unchanged.
+	// values by index: node i's FLOPs are costProgs[nodeFLOPIx[i]], its
+	// bytes costProgs[nodeByteIx[i]], and tensor i's size
+	// tensorProgs[tensorIx[i]].
 	costProgs  []*symbolic.Program
 	nodeFLOPIx []int32
 	nodeByteIx []int32
 
 	tensorProgs []*symbolic.Program
 	tensorIx    []int32
+
+	wiring *wiring
 }
 
 // Compile derives and caches every node's cost expressions, then lowers all
 // of them — plus per-tensor byte sizes and the graph totals — into programs
-// sharing one symbol table.
+// sharing one symbol table, and flattens the wiring for the footprint
+// simulator.
 func Compile(g *Graph) *Compiled {
 	// Warm the per-node expression caches (synchronized, once per graph),
 	// then build the symbol table over every expression for deterministic
@@ -64,13 +61,7 @@ func Compile(g *Graph) *Compiled {
 	}
 	syms := symbolic.SymTabFor(exprs...)
 
-	c := &Compiled{
-		Graph:       g,
-		Syms:        syms,
-		NodeFLOPs:   make([]*symbolic.Program, len(g.nodes)),
-		NodeBytes:   make([]*symbolic.Program, len(g.nodes)),
-		TensorBytes: make([]*symbolic.Program, len(g.tensors)),
-	}
+	c := &Compiled{Graph: g, Syms: syms, wiring: g.flatten()}
 	// Compile each distinct expression once, keyed by its canonical string
 	// form (canonical constructors make equal strings mean equal trees), and
 	// point every repeat at the shared program.
@@ -90,8 +81,6 @@ func Compile(g *Graph) *Compiled {
 	for i, n := range g.nodes {
 		c.nodeFLOPIx[i] = internCost(n.FLOPs())
 		c.nodeByteIx[i] = internCost(n.Bytes())
-		c.NodeFLOPs[i] = c.costProgs[c.nodeFLOPIx[i]]
-		c.NodeBytes[i] = c.costProgs[c.nodeByteIx[i]]
 	}
 	tensorIndex := make(map[string]int32)
 	c.tensorIx = make([]int32, len(g.tensors))
@@ -104,7 +93,6 @@ func Compile(g *Graph) *Compiled {
 			c.tensorProgs = append(c.tensorProgs, symbolic.Compile(t.Bytes(), syms))
 		}
 		c.tensorIx[i] = ix
-		c.TensorBytes[i] = c.tensorProgs[ix]
 	}
 	c.ParamCount = symbolic.Compile(g.ParamCount(), syms)
 	c.TotalFLOPs = symbolic.Compile(g.TotalFLOPs(), syms)
@@ -126,14 +114,14 @@ func (c *Compiled) Bind(slots []float64, env symbolic.Env) error {
 	return c.Syms.Bind(slots, env)
 }
 
-// evalCostUniq evaluates the unique node-cost programs into dst (grown as
-// needed). Per-node values are gathers from this table.
-func (c *Compiled) evalCostUniq(slots []float64, dst []float64) []float64 {
-	if cap(dst) < len(c.costProgs) {
-		dst = make([]float64, len(c.costProgs))
+// evalPrograms evaluates progs for one slot binding into dst (grown as
+// needed and returned).
+func evalPrograms(progs []*symbolic.Program, slots, dst []float64) []float64 {
+	if cap(dst) < len(progs) {
+		dst = make([]float64, len(progs))
 	}
-	dst = dst[:len(c.costProgs)]
-	for i, p := range c.costProgs {
+	dst = dst[:len(progs)]
+	for i, p := range progs {
 		dst[i] = p.Eval(slots)
 	}
 	return dst
@@ -144,7 +132,7 @@ func (c *Compiled) evalCostUniq(slots []float64, dst []float64) []float64 {
 // programs are evaluated once and gathered by index, which leaves every
 // summand and the summation order unchanged).
 func (c *Compiled) EvalStats(slots []float64) Stats {
-	uniq := c.evalCostUniq(slots, nil)
+	uniq := c.CostValues(slots, nil)
 	s := Stats{Params: c.ParamCount.Eval(slots)}
 	for i := range c.nodeFLOPIx {
 		s.FLOPs += uniq[c.nodeFLOPIx[i]]
@@ -162,35 +150,15 @@ func (c *Compiled) EvalStats(slots []float64) Stats {
 // allocate internally. Loops calling this per point should prefer
 // FootprintInto, which also reuses the simulation state.
 func (c *Compiled) Footprint(slots []float64, policy SchedulePolicy, scratch []float64) (ScheduleResult, error) {
-	bytes := c.tensorBytesGather(slots, scratch, nil)
-	return c.Graph.simulateFootprint(bytes, policy)
-}
-
-// tensorBytesGather fills per-tensor byte sizes (in Tensors() order) by
-// evaluating the unique tensor programs once and scattering by index.
-func (c *Compiled) tensorBytesGather(slots, bytes, uniq []float64) []float64 {
-	if cap(uniq) < len(c.tensorProgs) {
-		uniq = make([]float64, len(c.tensorProgs))
-	}
-	uniq = uniq[:len(c.tensorProgs)]
-	for i, p := range c.tensorProgs {
-		uniq[i] = p.Eval(slots)
-	}
-	if cap(bytes) < len(c.TensorBytes) {
-		bytes = make([]float64, len(c.TensorBytes))
-	}
-	bytes = bytes[:len(c.TensorBytes)]
-	for i, ix := range c.tensorIx {
-		bytes[i] = uniq[ix]
-	}
-	return bytes
+	fs := FootprintScratch{bytes: scratch}
+	return c.FootprintInto(slots, policy, &fs)
 }
 
 // NodeCosts evaluates every node's FLOPs and bytes into the provided slices
 // (grown as needed) and returns them, in Nodes() order.
 func (c *Compiled) NodeCosts(slots []float64, flops, bytes []float64) (f, b []float64) {
-	uniq := c.evalCostUniq(slots, nil)
-	n := len(c.NodeFLOPs)
+	uniq := c.CostValues(slots, nil)
+	n := len(c.nodeFLOPIx)
 	if cap(flops) < n {
 		flops = make([]float64, n)
 	}

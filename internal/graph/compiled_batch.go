@@ -41,7 +41,7 @@ func (c *Compiled) NumCostPrograms() int { return len(c.costProgs) }
 // into dst (grown as needed and returned). Per-node values are gathers
 // through CostIndexes — the scalar counterpart of NodeCostsBatch.
 func (c *Compiled) CostValues(slots []float64, dst []float64) []float64 {
-	return c.evalCostUniq(slots, dst)
+	return evalPrograms(c.costProgs, slots, dst)
 }
 
 // NodeCostsBatch evaluates every unique node-cost program over the batch,
@@ -59,6 +59,14 @@ func (c *Compiled) TensorIndexes() []int32 { return c.tensorIx }
 
 // NumTensorPrograms returns the number of unique tensor-byte programs.
 func (c *Compiled) NumTensorPrograms() int { return len(c.tensorProgs) }
+
+// TensorValues evaluates the unique tensor-byte programs for one slot
+// binding into dst (grown as needed and returned). Per-tensor values are
+// gathers through TensorIndexes — the scalar counterpart of
+// TensorBytesBatch.
+func (c *Compiled) TensorValues(slots []float64, dst []float64) []float64 {
+	return evalPrograms(c.tensorProgs, slots, dst)
+}
 
 // TensorBytesBatch evaluates every unique tensor-byte program over the
 // batch, writing program k's row vector at dst[k*rows : (k+1)*rows] (grown
@@ -124,36 +132,22 @@ type FootprintScratch struct {
 // FootprintInto is Footprint with fully reused simulation state. The
 // returned Order aliases the scratch and is valid until the next call.
 func (c *Compiled) FootprintInto(slots []float64, policy SchedulePolicy, fs *FootprintScratch) (ScheduleResult, error) {
-	fs.uniq = c.tensorUniqScalar(slots, fs.uniq)
-	return c.footprintFromUniq(fs.uniq, 1, 0, policy, fs)
-}
-
-func (c *Compiled) tensorUniqScalar(slots, uniq []float64) []float64 {
-	if cap(uniq) < len(c.tensorProgs) {
-		uniq = make([]float64, len(c.tensorProgs))
-	}
-	uniq = uniq[:len(c.tensorProgs)]
-	for i, p := range c.tensorProgs {
-		uniq[i] = p.Eval(slots)
-	}
-	return uniq
+	fs.uniq = c.TensorValues(slots, fs.uniq)
+	return c.FootprintFromBatch(fs.uniq, 1, 0, policy, fs)
 }
 
 // FootprintFromBatch runs the schedule simulation for one row of a batched
 // tensor-byte matrix previously produced by TensorBytesBatch over a batch
-// of `rows` rows. The returned Order aliases the scratch and is valid until
+// of `rows` rows. The simulation walks the int32 wiring flattened at
+// Compile time. The returned Order aliases the scratch and is valid until
 // the next call.
 func (c *Compiled) FootprintFromBatch(uniq []float64, rows, row int, policy SchedulePolicy, fs *FootprintScratch) (ScheduleResult, error) {
-	return c.footprintFromUniq(uniq, rows, row, policy, fs)
-}
-
-func (c *Compiled) footprintFromUniq(uniq []float64, rows, row int, policy SchedulePolicy, fs *FootprintScratch) (ScheduleResult, error) {
-	if cap(fs.bytes) < len(c.TensorBytes) {
-		fs.bytes = make([]float64, len(c.TensorBytes))
+	if cap(fs.bytes) < len(c.tensorIx) {
+		fs.bytes = make([]float64, len(c.tensorIx))
 	}
-	fs.bytes = fs.bytes[:len(c.TensorBytes)]
+	fs.bytes = fs.bytes[:len(c.tensorIx)]
 	for i, ix := range c.tensorIx {
 		fs.bytes[i] = uniq[int(ix)*rows+row]
 	}
-	return c.Graph.simulateFootprintInto(fs.bytes, policy, &fs.sim)
+	return fs.sim.run(c.wiring, fs.bytes, policy)
 }

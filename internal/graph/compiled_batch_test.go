@@ -5,29 +5,24 @@ import (
 	"testing"
 )
 
-// TestCompiledDedup pins the program-deduplication invariants: per-node
-// program slices alias the unique tables, and a chain graph of repeated
-// layers compiles to far fewer unique programs than nodes.
+// TestCompiledDedup pins the program-deduplication invariant: a chain
+// graph of repeated layers compiles to far fewer unique programs than
+// nodes and tensors, with one index per node and tensor.
 func TestCompiledDedup(t *testing.T) {
 	g := buildChainGraph(64)
 	c := Compile(g)
 
-	if c.NumCostPrograms() >= 2*len(c.NodeFLOPs) {
-		t.Fatalf("no dedup: %d unique cost programs for %d nodes", c.NumCostPrograms(), len(c.NodeFLOPs))
+	nodes, tensors := len(g.Nodes()), len(g.Tensors())
+	if c.NumCostPrograms() >= 2*nodes {
+		t.Fatalf("no dedup: %d unique cost programs for %d nodes", c.NumCostPrograms(), nodes)
 	}
-	if c.NumTensorPrograms() >= len(c.TensorBytes) {
-		t.Fatalf("no dedup: %d unique tensor programs for %d tensors", c.NumTensorPrograms(), len(c.TensorBytes))
+	if c.NumTensorPrograms() >= tensors {
+		t.Fatalf("no dedup: %d unique tensor programs for %d tensors", c.NumTensorPrograms(), tensors)
 	}
 	flopIx, byteIx := c.CostIndexes()
-	for i := range c.NodeFLOPs {
-		if c.NodeFLOPs[i] != c.costProgs[flopIx[i]] || c.NodeBytes[i] != c.costProgs[byteIx[i]] {
-			t.Fatalf("node %d does not alias its unique programs", i)
-		}
-	}
-	for i, ix := range c.TensorIndexes() {
-		if c.TensorBytes[i] != c.tensorProgs[ix] {
-			t.Fatalf("tensor %d does not alias its unique program", i)
-		}
+	if len(flopIx) != nodes || len(byteIx) != nodes || len(c.TensorIndexes()) != tensors {
+		t.Fatalf("index lengths %d/%d/%d, want %d nodes and %d tensors",
+			len(flopIx), len(byteIx), len(c.TensorIndexes()), nodes, tensors)
 	}
 }
 
@@ -110,23 +105,41 @@ func TestBatchedCompiledMatchesScalar(t *testing.T) {
 }
 
 // TestFootprintIntoSteadyStateAllocs pins the point of FootprintScratch:
-// warm footprint evaluation does not allocate.
+// warm footprint evaluation does not allocate, neither for one slot
+// binding nor for one row of a batched tensor-byte matrix.
 func TestFootprintIntoSteadyStateAllocs(t *testing.T) {
 	g := buildChainGraph(32)
 	c := Compile(g)
 	slots := c.NewSlots()
 	hSlot, _ := c.Syms.Slot("h")
 	slots[hSlot] = 256
-	var fp FootprintScratch
-	if _, err := c.FootprintInto(slots, PolicyMemGreedy, &fp); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := c.FootprintInto(slots, PolicyMemGreedy, &fp); err != nil {
+	b := c.NewBatch(2)
+	b.Set(0, hSlot, 128)
+	b.Set(1, hSlot, 256)
+	var bs BatchScratch
+	uniq := c.TensorBytesBatch(b, nil, &bs.Eval)
+	for _, policy := range []SchedulePolicy{PolicyFIFO, PolicyMemGreedy} {
+		var fp FootprintScratch
+		if _, err := c.FootprintInto(slots, policy, &fp); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Fatalf("warm FootprintInto allocates %v times per run", allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := c.FootprintInto(slots, policy, &fp); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("%v: warm FootprintInto allocates %v times per run", policy, allocs)
+		}
+		allocs = testing.AllocsPerRun(20, func() {
+			for r := 0; r < b.Rows(); r++ {
+				if _, err := c.FootprintFromBatch(uniq, b.Rows(), r, policy, &fp); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs > 0 {
+			t.Fatalf("%v: warm FootprintFromBatch allocates %v times per run", policy, allocs)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -232,6 +233,42 @@ func TestFootprintUnboundSymbolError(t *testing.T) {
 	g.MustAddNode("n", "", fakeOp{"f", 1}, []*Tensor{x}, []*Tensor{y})
 	if _, err := g.Footprint(map[string]float64{}, PolicyFIFO); err == nil {
 		t.Fatal("expected unbound symbol error")
+	}
+}
+
+func TestFootprintRejectsInvalidSizes(t *testing.T) {
+	// A negative size would raise a ready node's key in the mem-greedy
+	// decrease-key step and break the heap invariant, so negative and
+	// non-finite sizes are errors naming the tensor, on the map-env and
+	// the compiled paths alike. Zero stays valid.
+	g := newTestGraph(t)
+	x := g.NewTensor("x", Input, tensor.F32, tensor.Of(4))
+	y := g.NewTensor("y", Activation, tensor.F32, tensor.Of(symbolic.S("b")))
+	z := g.NewTensor("z", Activation, tensor.F32, tensor.Of(4))
+	g.MustAddNode("n1", "", fakeOp{"f", 1}, []*Tensor{x}, []*Tensor{y})
+	g.MustAddNode("n2", "", fakeOp{"f", 1}, []*Tensor{y}, []*Tensor{z})
+	c := Compile(g)
+	slots := c.NewSlots()
+	bSlot, _ := c.Syms.Slot("b")
+	var fs FootprintScratch
+	for _, policy := range []SchedulePolicy{PolicyFIFO, PolicyMemGreedy} {
+		for _, b := range []float64{-64, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			_, err := g.Footprint(map[string]float64{"b": b}, policy)
+			if err == nil || !strings.Contains(err.Error(), "tensor y") {
+				t.Fatalf("%v b=%v: map-env error %v, want one naming tensor y", policy, b, err)
+			}
+			slots[bSlot] = b
+			if _, err := c.FootprintInto(slots, policy, &fs); err == nil || !strings.Contains(err.Error(), "tensor y") {
+				t.Fatalf("%v b=%v: compiled error %v, want one naming tensor y", policy, b, err)
+			}
+		}
+		res, err := g.Footprint(map[string]float64{"b": 0}, policy)
+		if err != nil {
+			t.Fatalf("%v: zero-size tensor rejected: %v", policy, err)
+		}
+		if res.PeakBytes != 16 {
+			t.Fatalf("%v: peak with a zero-size tensor = %v, want 16", policy, res.PeakBytes)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -49,8 +50,8 @@ type ScheduleResult struct {
 // Footprint simulates a topological traversal under env and returns the
 // memory footprint estimate for one training step. Hot paths that sweep many
 // evaluation points should compile the graph once and use
-// Compiled.Footprint, which replaces the per-tensor tree walk below with
-// precompiled programs.
+// Compiled.FootprintInto, which replaces the per-tensor tree walk below with
+// precompiled programs and reuses the flattened wiring and simulation state.
 func (g *Graph) Footprint(env map[string]float64, policy SchedulePolicy) (ScheduleResult, error) {
 	// Pre-evaluate tensor byte sizes.
 	bytes := make([]float64, len(g.tensors))
@@ -61,37 +62,107 @@ func (g *Graph) Footprint(env map[string]float64, policy SchedulePolicy) (Schedu
 		}
 		bytes[t.id] = v
 	}
-	return g.simulateFootprint(bytes, policy)
+	var sim footprintSim
+	return sim.run(g.flatten(), bytes, policy)
+}
+
+// wiring is the graph topology the footprint simulator walks, flattened
+// into int32 CSR arrays: each relation is an offset array plus a packed id
+// array, item i's ids being ids[off[i]:off[i+1]]. Persistent (Param/State)
+// tensors have no producer and are never allocated or freed, so their
+// edges are dropped; only their ids remain, for the resident total.
+// Repeated inputs keep one entry per edge, which is what the consumer
+// counts and in-degrees count.
+type wiring struct {
+	g                *Graph
+	inOff, inIDs     []int32 // node → transient input tensor ids
+	outOff, outIDs   []int32 // node → output tensor ids
+	consOff, consIDs []int32 // tensor → consumer node ids
+	indeg            []int32 // node → input edges from a produced tensor
+	persistent       []int32 // Param and State tensor ids, ascending
+	inputs           []int32 // Input tensor ids, ascending
+}
+
+// flatten builds the simulator's wiring in O(nodes + edges).
+func (g *Graph) flatten() *wiring {
+	nn, nt := len(g.nodes), len(g.tensors)
+	var nin, nout int
+	for _, n := range g.nodes {
+		for _, t := range n.Inputs {
+			if !t.Persistent() {
+				nin++
+			}
+		}
+		nout += len(n.Outputs)
+	}
+	w := &wiring{
+		g:       g,
+		inOff:   make([]int32, nn+1),
+		inIDs:   make([]int32, 0, nin),
+		outOff:  make([]int32, nn+1),
+		outIDs:  make([]int32, 0, nout),
+		consOff: make([]int32, nt+1),
+		consIDs: make([]int32, 0, nin),
+		indeg:   make([]int32, nn),
+	}
+	for i, n := range g.nodes {
+		for _, t := range n.Inputs {
+			if t.Persistent() {
+				continue
+			}
+			w.inIDs = append(w.inIDs, int32(t.id))
+			if t.Producer != nil {
+				w.indeg[i]++
+			}
+		}
+		for _, t := range n.Outputs {
+			w.outIDs = append(w.outIDs, int32(t.id))
+		}
+		w.inOff[i+1] = int32(len(w.inIDs))
+		w.outOff[i+1] = int32(len(w.outIDs))
+	}
+	for i, t := range g.tensors {
+		if t.Persistent() {
+			w.persistent = append(w.persistent, int32(i))
+		} else {
+			if t.Kind == Input {
+				w.inputs = append(w.inputs, int32(i))
+			}
+			for _, c := range t.Consumers {
+				w.consIDs = append(w.consIDs, int32(c.id))
+			}
+		}
+		w.consOff[i+1] = int32(len(w.consIDs))
+	}
+	return w
 }
 
 // footprintSim holds every buffer one traversal simulation needs. Reusing
-// one across calls removes the multi-megabyte per-call allocations that
-// dominated sweep memory traffic on large graphs (a 47k-node speech graph
-// needs ~2.3 MB of counters, flags, heap state, and order storage per
-// simulation).
+// one across calls keeps repeated simulation allocation-free; a 47k-node
+// speech graph needs about 1 MB of counters, flags, heap state and order
+// storage.
 type footprintSim struct {
-	remaining []int
-	live      []bool
-	indeg     []int
+	remaining []int32 // by tensor: consumer edges not yet executed
+	live      []bool  // by tensor
+	indeg     []int32 // by node: input edges whose producer has not run
 	order     []*Node
-	heap      nodeHeap
+	heap      readyHeap
 }
 
-// reset grows the buffers for a graph with nt tensors and nn nodes and
+// reset sizes the buffers for a graph with nt tensors and nn nodes and
 // clears the state the simulation reads before writing.
 func (fs *footprintSim) reset(nt, nn int) {
 	if cap(fs.remaining) < nt {
-		fs.remaining = make([]int, nt)
+		fs.remaining = make([]int32, nt)
 		fs.live = make([]bool, nt)
 	}
 	fs.remaining = fs.remaining[:nt]
 	fs.live = fs.live[:nt]
 	clear(fs.live)
 	if cap(fs.indeg) < nn {
-		fs.indeg = make([]int, nn)
+		fs.indeg = make([]int32, nn)
 	}
 	fs.indeg = fs.indeg[:nn]
-	clear(fs.indeg)
 	if cap(fs.order) < nn {
 		fs.order = make([]*Node, 0, nn)
 	}
@@ -99,16 +170,14 @@ func (fs *footprintSim) reset(nt, nn int) {
 	fs.heap.reset(nn)
 }
 
-// simulateFootprint runs the traversal simulation over pre-evaluated
-// per-tensor byte sizes (indexed by tensor id), allocating fresh state.
-// Hot paths reuse state via simulateFootprintInto.
-func (g *Graph) simulateFootprint(bytes []float64, policy SchedulePolicy) (ScheduleResult, error) {
-	return g.simulateFootprintInto(bytes, policy, &footprintSim{})
-}
-
-// simulateFootprintInto is the shared core of Graph.Footprint,
-// Compiled.Footprint, and the batched footprint paths. The returned Order
-// aliases fs.order and is valid until fs is reused.
+// run simulates one traversal of w under the per-tensor byte sizes bytes
+// (indexed by tensor id). It is the one simulator behind Graph.Footprint
+// and every Compiled footprint path. The returned Order aliases fs and is
+// valid until fs is reused.
+//
+// Sizes must be finite and non-negative: a negative size would raise a
+// ready node's key in the decrease-key step below and break the heap
+// invariant, so such a binding is an error naming the tensor.
 //
 // The ready set is an indexed min-heap keyed by the policy's priority
 // (net live-set delta for mem-greedy, insertion order for FIFO), with
@@ -117,110 +186,103 @@ func (g *Graph) simulateFootprint(bytes []float64, policy SchedulePolicy) (Sched
 // single remaining consumer — its own inputs cannot be freed and its
 // outputs cannot become live while it waits — so adjusting exactly that
 // consumer keeps every key equal to a fresh recomputation.
-func (g *Graph) simulateFootprintInto(bytes []float64, policy SchedulePolicy, fs *footprintSim) (ScheduleResult, error) {
-	fs.reset(len(g.tensors), len(g.nodes))
-
-	var persistent float64
-	for _, t := range g.tensors {
-		if t.Persistent() {
-			persistent += bytes[t.id]
+func (fs *footprintSim) run(w *wiring, bytes []float64, policy SchedulePolicy) (ScheduleResult, error) {
+	for i, b := range bytes {
+		if !(b >= 0 && b <= math.MaxFloat64) {
+			return ScheduleResult{}, fmt.Errorf("graph: tensor %s: size %g bytes is negative or not finite",
+				w.g.tensors[i].Name, b)
 		}
 	}
+	fs.reset(len(bytes), len(w.indeg))
 
-	// Remaining consumer counts for freeable tensors.
-	remaining := fs.remaining
-	for _, t := range g.tensors {
-		remaining[t.id] = len(t.Consumers)
+	var persistent float64
+	for _, t := range w.persistent {
+		persistent += bytes[t]
 	}
-
+	remaining := fs.remaining
+	for t := range remaining {
+		remaining[t] = w.consOff[t+1] - w.consOff[t]
+	}
 	// Transient live set: graph inputs are staged in before the step starts.
 	live := fs.live
 	var cur float64
-	for _, t := range g.tensors {
-		if t.Kind == Input {
-			live[t.id] = true
-			cur += bytes[t.id]
-		}
+	for _, t := range w.inputs {
+		live[t] = true
+		cur += bytes[t]
 	}
 	peakTransient := cur
-
 	indeg := fs.indeg
-	for _, n := range g.nodes {
-		for _, t := range n.Inputs {
-			if t.Producer != nil {
-				indeg[n.id]++
-			}
-		}
-	}
+	copy(indeg, w.indeg)
 
-	// netDelta estimates the live-set change from executing n.
-	netDelta := func(n *Node) float64 {
+	greedy := policy == PolicyMemGreedy
+	// keyFor orders the ready heap: the net live-set change from executing
+	// n under mem-greedy, n's insertion index under FIFO. Ties break toward
+	// insertion order (the heap compares node ids after keys): chained
+	// gradient accumulations only become ready in chain order, so honoring
+	// creation order lets each partial be folded into the running sum as
+	// soon as it is produced.
+	keyFor := func(n int32) float64 {
+		if !greedy {
+			return float64(n)
+		}
 		var d float64
-		for _, t := range n.Outputs {
-			if !t.Persistent() && !live[t.id] {
-				d += bytes[t.id]
+		for _, t := range w.outIDs[w.outOff[n]:w.outOff[n+1]] {
+			if !live[t] {
+				d += bytes[t]
 			}
 		}
-		for _, t := range n.Inputs {
-			if !t.Persistent() && live[t.id] && remaining[t.id] == 1 {
-				d -= bytes[t.id]
+		for _, t := range w.inIDs[w.inOff[n]:w.inOff[n+1]] {
+			if live[t] && remaining[t] == 1 {
+				d -= bytes[t]
 			}
 		}
 		return d
 	}
-	// keyFor orders the ready heap. Ties break toward insertion order (the
-	// heap compares node ids after keys): chained gradient accumulations
-	// only become ready in chain order, so honoring creation order lets
-	// each partial be folded into the running sum as soon as it is produced.
-	keyFor := func(n *Node) float64 {
-		if policy == PolicyMemGreedy {
-			return netDelta(n)
-		}
-		return float64(n.id) // FIFO: earliest inserted node.
-	}
 
 	ready := &fs.heap
-	for _, n := range g.nodes {
-		if indeg[n.id] == 0 {
-			ready.push(n.id, keyFor(n))
+	for n, d := range indeg {
+		if d == 0 {
+			ready.push(int32(n), keyFor(int32(n)))
 		}
 	}
 
+	nodes := w.g.nodes
 	order := fs.order
 	for ready.len() > 0 {
-		n := g.nodes[ready.pop()]
-		order = append(order, n)
+		n := ready.pop()
+		order = append(order, nodes[n])
+		outs := w.outIDs[w.outOff[n]:w.outOff[n+1]]
 
 		// Allocate outputs.
-		for _, t := range n.Outputs {
-			if !t.Persistent() && !live[t.id] {
-				live[t.id] = true
-				cur += bytes[t.id]
+		for _, t := range outs {
+			if !live[t] {
+				live[t] = true
+				cur += bytes[t]
 			}
 		}
 		if cur > peakTransient {
 			peakTransient = cur
 		}
 		// Free inputs whose last consumer just ran.
-		for _, t := range n.Inputs {
-			remaining[t.id]--
-			if t.Persistent() || !live[t.id] {
+		for _, t := range w.inIDs[w.inOff[n]:w.inOff[n+1]] {
+			remaining[t]--
+			if !live[t] {
 				continue
 			}
-			switch remaining[t.id] {
+			switch remaining[t] {
 			case 0:
-				live[t.id] = false
-				cur -= bytes[t.id]
+				live[t] = false
+				cur -= bytes[t]
 			case 1:
-				if policy != PolicyMemGreedy {
+				if !greedy {
 					break
 				}
-				// Exactly one unexecuted consumer entry remains; freeing t
+				// Exactly one unexecuted consumer edge remains; freeing t
 				// now counts toward that consumer's net delta. If it is not
 				// ready yet, its key is computed fresh when it is pushed.
-				for _, c := range t.Consumers {
-					if ready.contains(c.id) {
-						ready.decrease(c.id, ready.key(c.id)-bytes[t.id])
+				for _, c := range w.consIDs[w.consOff[t]:w.consOff[t+1]] {
+					if ready.contains(c) {
+						ready.decrease(c, bytes[t])
 						break
 					}
 				}
@@ -228,17 +290,17 @@ func (g *Graph) simulateFootprintInto(bytes []float64, policy SchedulePolicy, fs
 		}
 		// Outputs nobody consumes (e.g. the reported loss) are freed at step
 		// end; they stay in the live set until then.
-		for _, out := range n.Outputs {
-			for _, c := range out.Consumers {
-				indeg[c.id]--
-				if indeg[c.id] == 0 {
-					ready.push(c.id, keyFor(c))
+		for _, t := range outs {
+			for _, c := range w.consIDs[w.consOff[t]:w.consOff[t+1]] {
+				indeg[c]--
+				if indeg[c] == 0 {
+					ready.push(c, keyFor(c))
 				}
 			}
 		}
 	}
 	fs.order = order
-	if len(order) != len(g.nodes) {
+	if len(order) != len(nodes) {
 		return ScheduleResult{}, fmt.Errorf("graph: cycle detected during scheduling")
 	}
 	return ScheduleResult{
@@ -249,24 +311,35 @@ func (g *Graph) simulateFootprintInto(bytes []float64, policy SchedulePolicy, fs
 	}, nil
 }
 
-// nodeHeap is an indexed binary min-heap of node ids ordered by (key, id).
-// The id tie-break keeps traversal deterministic and insertion-ordered.
-type nodeHeap struct {
-	keys []float64 // by node id
-	pos  []int32   // by node id; -1 when absent
-	arr  []int32   // heap order
+// readyEntry is one ready node with its heap key, stored inline so heap
+// comparisons read no side table.
+type readyEntry struct {
+	key float64
+	id  int32
+}
+
+// before orders entries by (key, id). The id tie-break keeps traversal
+// deterministic and insertion-ordered.
+func (e readyEntry) before(o readyEntry) bool {
+	if e.key != o.key {
+		return e.key < o.key
+	}
+	return e.id < o.id
+}
+
+// readyHeap is an indexed binary min-heap of ready nodes.
+type readyHeap struct {
+	arr []readyEntry
+	pos []int32 // by node id: index into arr, -1 when absent
 }
 
 // reset prepares the heap for a graph of n nodes, reusing prior storage.
-func (h *nodeHeap) reset(n int) {
-	if cap(h.keys) < n {
-		h.keys = make([]float64, n)
+// The entry array grows on demand: the ready set of a training graph is a
+// small fraction of its nodes.
+func (h *readyHeap) reset(n int) {
+	if cap(h.pos) < n {
 		h.pos = make([]int32, n)
 	}
-	if cap(h.arr) < n {
-		h.arr = make([]int32, 0, n)
-	}
-	h.keys = h.keys[:n]
 	h.pos = h.pos[:n]
 	h.arr = h.arr[:0]
 	for i := range h.pos {
@@ -274,77 +347,71 @@ func (h *nodeHeap) reset(n int) {
 	}
 }
 
-func (h *nodeHeap) len() int             { return len(h.arr) }
-func (h *nodeHeap) contains(id int) bool { return h.pos[id] >= 0 }
-func (h *nodeHeap) key(id int) float64   { return h.keys[id] }
+func (h *readyHeap) len() int               { return len(h.arr) }
+func (h *readyHeap) contains(id int32) bool { return h.pos[id] >= 0 }
 
-func (h *nodeHeap) less(a, b int32) bool {
-	if h.keys[a] != h.keys[b] {
-		return h.keys[a] < h.keys[b]
-	}
-	return a < b
-}
-
-func (h *nodeHeap) push(id int, key float64) {
-	h.keys[id] = key
-	h.pos[id] = int32(len(h.arr))
-	h.arr = append(h.arr, int32(id))
+func (h *readyHeap) push(id int32, key float64) {
+	h.arr = append(h.arr, readyEntry{key: key, id: id})
 	h.siftUp(len(h.arr) - 1)
 }
 
-func (h *nodeHeap) pop() int {
-	top := h.arr[0]
+func (h *readyHeap) pop() int32 {
+	top := h.arr[0].id
 	last := len(h.arr) - 1
-	h.arr[0] = h.arr[last]
-	h.pos[h.arr[0]] = 0
+	e := h.arr[last]
 	h.arr = h.arr[:last]
 	h.pos[top] = -1
 	if last > 0 {
-		h.siftDown(0)
+		h.siftDown(0, e)
 	}
-	return int(top)
+	return top
 }
 
-// decrease lowers id's key; key must not exceed the current one.
-func (h *nodeHeap) decrease(id int, key float64) {
-	h.keys[id] = key
-	h.siftUp(int(h.pos[id]))
+// decrease lowers id's key by by, which must not be negative.
+func (h *readyHeap) decrease(id int32, by float64) {
+	i := h.pos[id]
+	h.arr[i].key -= by
+	h.siftUp(int(i))
 }
 
-func (h *nodeHeap) siftUp(i int) {
+// siftUp moves the entry at i toward the root until its parent orders
+// before it.
+func (h *readyHeap) siftUp(i int) {
+	e := h.arr[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.arr[i], h.arr[parent]) {
-			return
+		if !e.before(h.arr[parent]) {
+			break
 		}
-		h.swap(i, parent)
+		h.arr[i] = h.arr[parent]
+		h.pos[h.arr[i].id] = int32(i)
 		i = parent
 	}
+	h.arr[i] = e
+	h.pos[e.id] = int32(i)
 }
 
-func (h *nodeHeap) siftDown(i int) {
+// siftDown places e in the hole at i, moving the smaller child up while it
+// orders before e.
+func (h *readyHeap) siftDown(i int, e readyEntry) {
 	n := len(h.arr)
 	for {
-		left, right := 2*i+1, 2*i+2
-		min := i
-		if left < n && h.less(h.arr[left], h.arr[min]) {
-			min = left
+		min, minE := i, e
+		if left := 2*i + 1; left < n && h.arr[left].before(minE) {
+			min, minE = left, h.arr[left]
 		}
-		if right < n && h.less(h.arr[right], h.arr[min]) {
-			min = right
+		if right := 2*i + 2; right < n && h.arr[right].before(minE) {
+			min, minE = right, h.arr[right]
 		}
 		if min == i {
-			return
+			break
 		}
-		h.swap(i, min)
+		h.arr[i] = minE
+		h.pos[minE.id] = int32(i)
 		i = min
 	}
-}
-
-func (h *nodeHeap) swap(i, j int) {
-	h.arr[i], h.arr[j] = h.arr[j], h.arr[i]
-	h.pos[h.arr[i]] = int32(i)
-	h.pos[h.arr[j]] = int32(j)
+	h.arr[i] = e
+	h.pos[e.id] = int32(i)
 }
 
 // AllocatorSim models a framework allocator with a fixed device capacity, as

@@ -393,6 +393,29 @@ func TestCheckpointUploadAnalyze(t *testing.T) {
 	}
 }
 
+func TestCheckpointRejectsNegativeBinding(t *testing.T) {
+	// A negative batch makes activation sizes negative. The footprint
+	// simulator rejects such sizes, so the upload is unprocessable rather
+	// than answered with a footprint from a broken schedule.
+	m, err := cat.Build(cat.WordLM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cat.SaveCheckpoint(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(Config{})
+	path := fmt.Sprintf("/v1/checkpoint/analyze?%s=1024&%s=-64", m.SizeSymbol, m.BatchSymbol)
+	rec, body := request(t, s, http.MethodPost, path, buf.Bytes())
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("negative binding = %d, want 422 (%s)", rec.Code, rec.Body)
+	}
+	if msg := errMessage(body); !strings.Contains(msg, "negative or not finite") {
+		t.Fatalf("error %q does not explain the rejected size", msg)
+	}
+}
+
 func TestCheckpointSymbolNamedPolicy(t *testing.T) {
 	// A graph dimension named "policy" collides with the reserved schedule
 	// selector and must bind through the "bind." escape prefix.
