@@ -90,8 +90,8 @@ func TestEngineCaseStudyMemoizedPerAccelerator(t *testing.T) {
 }
 
 // TestEngineCacheStatsShape pins the extended memo telemetry: occupancy,
-// capacity, shard fan-out, and eviction counters for both sharded memos,
-// and that concurrent lock-free domain reads observe a consistent count.
+// capacity, and eviction counters for both LRU memos, and the built-domain
+// count.
 func TestEngineCacheStatsShape(t *testing.T) {
 	eng := NewEngine()
 	if _, err := eng.Analyzer(Domains()[0]); err != nil {
@@ -110,18 +110,15 @@ func TestEngineCacheStatsShape(t *testing.T) {
 	if st.CaseStudyCapacity <= 0 || st.PlanCapacity <= 0 {
 		t.Fatalf("capacities not reported: %+v", st)
 	}
-	if st.CaseStudyShards < 1 || st.PlanShards < 1 {
-		t.Fatalf("shard fan-out not reported: %+v", st)
-	}
 	if st.CaseStudyEvictions != 0 || st.PlanEvictions != 0 {
 		t.Fatalf("fresh engine reports evictions: %+v", st)
 	}
 }
 
-// TestEngineAnalyzerLockFreeReads checks the copy-on-write domain map:
-// readers racing a writer publishing a new domain always get the same
-// analyzer instance per domain and never a torn map. Run under -race this
-// is the regression test for the atomic-snapshot publish.
+// TestEngineAnalyzerLockFreeReads checks the mutex-guarded domain map:
+// readers racing first builds of every domain always get the same analyzer
+// instance per domain. Run under -race it covers the map's locking. (The
+// name dates from the lock-free map the mutex replaced.)
 func TestEngineAnalyzerLockFreeReads(t *testing.T) {
 	eng := NewEngine()
 	var wg sync.WaitGroup
@@ -159,8 +156,8 @@ func TestEngineAnalyzerLockFreeReads(t *testing.T) {
 // distinct single-candidate searches and checks the LRU bound holds and
 // evictions are counted — the memo can no longer grow without bound under
 // a scan of distinct queries. (The case-study memo shares the identical
-// shard.LRU GetOrCreate wiring; its bound is covered by the shard package
-// capacity tests.)
+// lru.Cache GetOrCreate wiring; its bound is covered by the lru package
+// tests.)
 func TestPlanMemoBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fills the planner memo past capacity")

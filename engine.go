@@ -3,17 +3,16 @@ package catamount
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"catamount/internal/core"
 	"catamount/internal/costmodel"
 	"catamount/internal/graph"
 	"catamount/internal/hw"
+	"catamount/internal/lru"
 	"catamount/internal/models"
 	"catamount/internal/obs"
 	"catamount/internal/parallel"
 	"catamount/internal/scaling"
-	"catamount/internal/shard"
 )
 
 // Engine is a reusable analysis session. It memoizes each domain's built
@@ -21,20 +20,13 @@ import (
 // table regenerations, figure sweeps, interactive what-ifs — pay the graph
 // construction and expression compilation cost exactly once per domain.
 //
-// Every memo is built for contention-free concurrent serving: the domain
-// set is tiny and build-once, so lookups read an atomic snapshot map with
-// no lock at all; the case-study and planner memos are sharded LRUs whose
-// operations take one per-shard mutex only.
-//
 // An Engine is safe for concurrent use. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
-	// domains is the copy-on-write snapshot of the per-domain analyzer
-	// entries: reads are a single atomic load plus a map lookup (the map
-	// is never mutated after publication), and only the rare first-use of
-	// a new domain takes domainsMu to publish an extended copy.
+	// domains holds one build-once analyzer entry per domain. domainsMu
+	// guards only the map; builds run outside it.
 	domainsMu sync.Mutex
-	domains   atomic.Pointer[map[Domain]*engineEntry]
+	domains   map[Domain]*engineEntry
 
 	// caseStudies memoizes the §6 parallelization plan per (accelerator,
 	// cost-model backend): the case study is deterministic for a given
@@ -42,14 +34,13 @@ type Engine struct {
 	// Keys combine the canonical backend name with the device fingerprint
 	// (every projection-relevant field), so alias spellings share one
 	// entry while two configs differing in any device field memoize
-	// separately. The sharded LRU bounds long-tail custom devices without
-	// a memo-wide lock.
-	caseStudies *shard.LRU[*caseStudyEntry]
+	// separately. maxCaseStudyEntries bounds it.
+	caseStudies *lru.Cache[*caseStudyEntry]
 
 	// plans memoizes capacity-planner searches by their canonical key
 	// (plan.Planner.Key): a search is deterministic, and the serving layer
-	// replays popular targets. Same sharded LRU discipline as caseStudies.
-	plans *shard.LRU[*planEntry]
+	// replays popular targets. maxPlanEntries bounds it.
+	plans *lru.Cache[*planEntry]
 }
 
 // planEntry runs one planner search at most once, outside the memo lock.
@@ -68,8 +59,8 @@ type caseStudyEntry struct {
 }
 
 // engineEntry builds one domain's analyzer at most once. Builds run outside
-// the snapshot lock, so a slow first build of one domain never blocks
-// memoized lookups of another.
+// the map lock, so a slow first build of one domain never blocks memoized
+// lookups of another.
 type engineEntry struct {
 	once sync.Once
 	a    *core.Analyzer
@@ -80,46 +71,22 @@ type engineEntry struct {
 // lazily, on first use of each domain.
 func NewEngine() *Engine {
 	return &Engine{
-		caseStudies: shard.NewLRU[*caseStudyEntry](maxCaseStudyEntries, 0),
-		plans:       shard.NewLRU[*planEntry](maxPlanEntries, 0),
+		domains:     make(map[Domain]*engineEntry, len(models.AllDomains)),
+		caseStudies: lru.New[*caseStudyEntry](maxCaseStudyEntries),
+		plans:       lru.New[*planEntry](maxPlanEntries),
 	}
-}
-
-// domainEntry returns the build-once entry for d, publishing an extended
-// snapshot map on first use. The published maps are immutable, so the
-// Analyzer fast path never takes this lock.
-func (e *Engine) domainEntry(d Domain) *engineEntry {
-	e.domainsMu.Lock()
-	defer e.domainsMu.Unlock()
-	old := e.domains.Load()
-	if old != nil {
-		if ent, ok := (*old)[d]; ok {
-			return ent
-		}
-	}
-	next := make(map[Domain]*engineEntry, len(models.AllDomains))
-	if old != nil {
-		for k, v := range *old {
-			next[k] = v
-		}
-	}
-	ent := &engineEntry{}
-	next[d] = ent
-	e.domains.Store(&next)
-	return ent
 }
 
 // Analyzer returns the domain's compiled analysis session, building and
-// compiling the model on first use. The memoized path is lock-free: an
-// atomic snapshot load, a map lookup, and a completed sync.Once.
+// compiling the model on first use.
 func (e *Engine) Analyzer(d Domain) (*core.Analyzer, error) {
-	ent, ok := (*engineEntry)(nil), false
-	if m := e.domains.Load(); m != nil {
-		ent, ok = (*m)[d]
-	}
+	e.domainsMu.Lock()
+	ent, ok := e.domains[d]
 	if !ok {
-		ent = e.domainEntry(d)
+		ent = &engineEntry{}
+		e.domains[d] = ent
 	}
+	e.domainsMu.Unlock()
 	ent.once.Do(func() {
 		// The build-and-compile is the engine's coldest stage: its latency
 		// distribution (one observation per domain per process, ~100ms-1s)
@@ -136,8 +103,8 @@ func (e *Engine) Analyzer(d Domain) (*core.Analyzer, error) {
 }
 
 // CacheStats is a point-in-time view of the engine's memo layer: how many
-// domain models are built and compiled, occupancy/capacity/shard fan-out
-// of the case-study and planner memos, and their lifetime eviction counts.
+// domain models are built and compiled, occupancy and capacity of the
+// case-study and planner memos, and their lifetime eviction counts.
 // The serving layer reports it in /healthz.
 type CacheStats struct {
 	Domains            int   `json:"domains"`
@@ -145,28 +112,24 @@ type CacheStats struct {
 	Plans              int   `json:"plans"`
 	CaseStudyCapacity  int   `json:"case_study_capacity"`
 	PlanCapacity       int   `json:"plan_capacity"`
-	CaseStudyShards    int   `json:"case_study_shards"`
-	PlanShards         int   `json:"plan_shards"`
 	CaseStudyEvictions int64 `json:"case_study_evictions"`
 	PlanEvictions      int64 `json:"plan_evictions"`
 }
 
 // CacheStats snapshots the engine's memo occupancy.
 func (e *Engine) CacheStats() CacheStats {
-	s := CacheStats{
-		CaseStudies:       e.caseStudies.Len(),
-		Plans:             e.plans.Len(),
-		CaseStudyCapacity: e.caseStudies.Capacity(),
-		PlanCapacity:      e.plans.Capacity(),
-		CaseStudyShards:   e.caseStudies.ShardCount(),
-		PlanShards:        e.plans.ShardCount(),
+	e.domainsMu.Lock()
+	domains := len(e.domains)
+	e.domainsMu.Unlock()
+	return CacheStats{
+		Domains:            domains,
+		CaseStudies:        e.caseStudies.Len(),
+		Plans:              e.plans.Len(),
+		CaseStudyCapacity:  e.caseStudies.Capacity(),
+		PlanCapacity:       e.plans.Capacity(),
+		CaseStudyEvictions: e.caseStudies.Stats().Evictions,
+		PlanEvictions:      e.plans.Stats().Evictions,
 	}
-	if m := e.domains.Load(); m != nil {
-		s.Domains = len(*m)
-	}
-	s.CaseStudyEvictions = e.caseStudies.Stats().Evictions
-	s.PlanEvictions = e.plans.Stats().Evictions
-	return s
 }
 
 // Model returns the engine's memoized model for a domain. The model is
@@ -333,9 +296,9 @@ func (e *Engine) WordLMCaseStudyOn(acc Accelerator) (*CaseStudy, error) {
 
 // WordLMCaseStudyOnWith is WordLMCaseStudyOn under a pluggable step-time
 // backend (nil means the default). Results memoize per (device, canonical
-// backend name), so alias spellings of one backend share an entry. The
-// memo is a sharded LRU: lookups lock only the key's shard, and concurrent
-// callers for one (device, backend) pair share a single computation.
+// backend name), so alias spellings of one backend share an entry, and
+// concurrent callers for one (device, backend) pair share a single
+// computation.
 func (e *Engine) WordLMCaseStudyOnWith(acc Accelerator, cm costmodel.Model) (*CaseStudy, error) {
 	if cm == nil {
 		cm = costmodel.Default()
@@ -344,7 +307,7 @@ func (e *Engine) WordLMCaseStudyOnWith(acc Accelerator, cm costmodel.Model) (*Ca
 		return nil, err
 	}
 	key := cm.Name() + "|" + acc.Fingerprint()
-	ent, _ := e.caseStudies.GetOrCreate(key, func() *caseStudyEntry {
+	ent := e.caseStudies.GetOrCreate(key, func() *caseStudyEntry {
 		return &caseStudyEntry{}
 	})
 	ent.once.Do(func() {
@@ -404,19 +367,13 @@ type SubbatchSelection struct {
 	Chosen     map[string]hw.SubbatchPoint `json:"chosen"`
 }
 
-// SubbatchSelect sweeps subbatch sizes (1 … 2^18) for a domain at a target
-// parameter count on any validated accelerator and applies the given
-// policies, with the default step-time backend. params <= 0 selects the
-// domain's accuracy-frontier model size (Table 1). This is the one sweep
-// pipeline behind both Figure11 and the catamountd /v1/subbatch endpoint.
-func (e *Engine) SubbatchSelect(d Domain, params float64, acc Accelerator,
-	policies []hw.SubbatchPolicy, tol float64) (*SubbatchSelection, error) {
-	return e.SubbatchSelectWith(d, params, acc, nil, policies, tol)
-}
-
-// SubbatchSelectWith is SubbatchSelect under a pluggable step-time backend
-// (nil means the default): every sweep point's step time — and therefore
-// the min-time-per-sample policy choice — routes through the backend.
+// SubbatchSelectWith sweeps subbatch sizes (1 … 2^18) for a domain at a
+// target parameter count on any validated accelerator and applies the
+// given policies. params <= 0 selects the domain's accuracy-frontier model
+// size (Table 1). Every sweep point's step time — and therefore the
+// min-time-per-sample policy choice — routes through the step-time backend
+// cm (nil means the default). This is the one sweep pipeline behind both
+// Figure11 and the catamountd /v1/subbatch endpoint.
 func (e *Engine) SubbatchSelectWith(d Domain, params float64, acc Accelerator,
 	cm costmodel.Model, policies []hw.SubbatchPolicy, tol float64) (*SubbatchSelection, error) {
 

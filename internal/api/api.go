@@ -17,7 +17,6 @@ import (
 	"io"
 	"net/http"
 
-	"catamount/internal/costmodel"
 	"catamount/internal/hw"
 )
 
@@ -58,7 +57,7 @@ type SweepSpec struct {
 	// alias; empty means the default graph-level Roofline). Every point's
 	// StepSeconds/Utilization/ComputeBound route through it. A "costmodel"
 	// query parameter on the request URL overrides this field — see
-	// ResolveCostModel.
+	// OverrideCostModel.
 	CostModel string `json:"costmodel,omitempty"`
 	// Workers bounds the evaluation pool (default GOMAXPROCS).
 	Workers int `json:"workers,omitempty"`
@@ -102,7 +101,7 @@ type PlanSpec struct {
 	// alias; empty means the default graph-level Roofline). Every
 	// candidate's compute time — and therefore train hours, cost, and the
 	// Pareto frontier — routes through it. A "costmodel" query parameter
-	// on the request URL overrides this field — see ResolveCostModel.
+	// on the request URL overrides this field — see OverrideCostModel.
 	CostModel string `json:"costmodel,omitempty"`
 
 	// MinSubbatch is the smallest admissible per-worker subbatch (default
@@ -175,20 +174,9 @@ func (s JobSpec) Validate() error {
 // (a replayed job file, a saved sweep body) under another backend without
 // editing it.
 
-// ResolveCostModel applies the precedence rule and parses the winner.
-// Both inputs may be empty; the empty winner resolves to the default
-// graph-level Roofline backend.
-func ResolveCostModel(queryParam, specField string) (costmodel.Model, error) {
-	name := specField
-	if queryParam != "" {
-		name = queryParam
-	}
-	return costmodel.Parse(name)
-}
-
 // OverrideCostModel folds a request's "costmodel" query parameter into a
-// spec's CostModel field under the ResolveCostModel precedence: a non-empty
-// query parameter replaces the field, an empty one leaves it alone.
+// spec's CostModel field under that precedence: a non-empty query
+// parameter replaces the field, an empty one leaves it alone.
 func OverrideCostModel(field *string, queryParam string) {
 	if queryParam != "" {
 		*field = queryParam
@@ -196,8 +184,8 @@ func OverrideCostModel(field *string, queryParam string) {
 }
 
 // ApplyCostModelParam folds a request's "costmodel" query parameter into a
-// job spec under the ResolveCostModel precedence, so the persisted spec
-// records the backend the job will actually run with.
+// job spec under the same precedence, so the persisted spec records the
+// backend the job will actually run with.
 func (s *JobSpec) ApplyCostModelParam(queryParam string) {
 	switch {
 	case s.Sweep != nil:

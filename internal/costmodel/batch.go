@@ -26,10 +26,10 @@ type OpsBatch struct {
 	Rows int
 	// Kinds holds each node's op kind, in graph Nodes() order.
 	Kinds []string
-	// Classes optionally holds each kind's resolved efficiency class.
-	// Producers that price many batches should fill it once (Resolve);
-	// per-op pricing then skips the per-node class lookup, which otherwise
-	// dominates the batched hot loop.
+	// Classes optionally holds each kind's resolved efficiency class
+	// (ClassFor of each Kinds entry). Producers that price many batches
+	// should fill it once; per-op pricing then skips the per-node class
+	// lookup, which otherwise dominates the batched hot loop.
 	Classes []Class
 	// FLOPIx / ByteIx map each node to its row vector in Uniq.
 	FLOPIx []int32
@@ -37,18 +37,6 @@ type OpsBatch struct {
 	// Uniq holds the unique cost-program results, program-major:
 	// Uniq[k*Rows : (k+1)*Rows] is unique program k across all rows.
 	Uniq []float64
-}
-
-// Resolve fills Classes from Kinds. Kinds are static per graph, so callers
-// typically resolve once and reuse the slice across batches.
-func (ob *OpsBatch) Resolve() {
-	if len(ob.Classes) == len(ob.Kinds) {
-		return
-	}
-	ob.Classes = make([]Class, len(ob.Kinds))
-	for i, k := range ob.Kinds {
-		ob.Classes[i] = ClassFor(k)
-	}
 }
 
 // At materializes one node's cost at one row.

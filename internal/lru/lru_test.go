@@ -1,4 +1,4 @@
-package shard
+package lru
 
 import (
 	"fmt"
@@ -6,43 +6,8 @@ import (
 	"testing"
 )
 
-func TestCountIsPowerOfTwo(t *testing.T) {
-	n := Count()
-	if n < 1 || n > maxShards || n&(n-1) != 0 {
-		t.Fatalf("Count() = %d, want a power of two in [1, %d]", n, maxShards)
-	}
-}
-
-func TestSmallCapacityStaysSingleSharded(t *testing.T) {
-	for _, capacity := range []int{1, 2, MinPerShard, 2*MinPerShard - 1} {
-		l := NewLRU[int](capacity, 8)
-		if got := l.ShardCount(); got != 1 {
-			t.Fatalf("capacity %d: %d shards, want 1 (exact global LRU)", capacity, got)
-		}
-	}
-}
-
-func TestShardCapacitiesSumExactly(t *testing.T) {
-	for _, tc := range []struct{ capacity, shards int }{
-		{1024, 8}, {100, 4}, {67, 4}, {1000, 0}, {64, 8},
-	} {
-		l := NewLRU[int](tc.capacity, tc.shards)
-		sum := 0
-		for i := range l.shards {
-			sum += l.shards[i].capacity
-		}
-		if sum != tc.capacity {
-			t.Fatalf("capacity %d/%d shards: shard capacities sum to %d",
-				tc.capacity, tc.shards, sum)
-		}
-		if n := l.ShardCount(); n&(n-1) != 0 {
-			t.Fatalf("shard count %d not a power of two", n)
-		}
-	}
-}
-
-func TestSingleShardExactLRU(t *testing.T) {
-	l := NewLRU[string](2, 1)
+func TestExactLRU(t *testing.T) {
+	l := New[string](2)
 	l.Add("a", "1")
 	l.Add("b", "2")
 	if v, ok := l.Get("a"); !ok || v != "1" {
@@ -61,13 +26,16 @@ func TestSingleShardExactLRU(t *testing.T) {
 	if st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1", st.Evictions)
 	}
+	if st.Hits != 3 || st.Misses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 3/1", st.Hits, st.Misses)
+	}
 	if l.Len() != 2 {
 		t.Fatalf("len = %d, want 2", l.Len())
 	}
 }
 
 func TestAddRefreshesExisting(t *testing.T) {
-	l := NewLRU[int](2, 1)
+	l := New[int](2)
 	l.Add("a", 1)
 	l.Add("b", 2)
 	l.Add("a", 10) // refresh, not insert: "a" becomes most recent
@@ -80,35 +48,31 @@ func TestAddRefreshesExisting(t *testing.T) {
 	}
 }
 
-func TestBoundedAcrossShards(t *testing.T) {
+// TestBounded overfills the cache tenfold: it must hold exactly its
+// capacity, the newest keys, and count one eviction per overflowing add.
+func TestBounded(t *testing.T) {
 	const capacity = 64
-	l := NewLRU[int](capacity, 4)
+	l := New[int](capacity)
 	for i := 0; i < 10*capacity; i++ {
 		l.Add(fmt.Sprintf("key-%d", i), i)
 	}
-	if n := l.Len(); n > capacity {
-		t.Fatalf("len = %d exceeds capacity %d", n, capacity)
+	if n := l.Len(); n != capacity {
+		t.Fatalf("len = %d, want capacity %d", n, capacity)
 	}
-	st := l.Stats()
-	if st.Evictions < int64(9*capacity) {
-		t.Fatalf("evictions = %d, want >= %d", st.Evictions, 9*capacity)
+	if ev := l.Stats().Evictions; ev != 9*capacity {
+		t.Fatalf("evictions = %d, want %d", ev, 9*capacity)
 	}
-	sum := 0
-	for i, n := range st.ShardEntries {
-		if n > l.shards[i].capacity {
-			t.Fatalf("shard %d holds %d > its capacity %d", i, n, l.shards[i].capacity)
+	for i := 9 * capacity; i < 10*capacity; i++ {
+		if _, ok := l.Get(fmt.Sprintf("key-%d", i)); !ok {
+			t.Fatalf("key-%d (among the newest %d) was evicted", i, capacity)
 		}
-		sum += n
-	}
-	if sum != l.Len() {
-		t.Fatalf("shard entries sum %d != Len %d", sum, l.Len())
 	}
 }
 
 // TestGetOrCreateSharesOneValue pins the memoization contract: concurrent
 // callers for one key must all receive the same created value.
 func TestGetOrCreateSharesOneValue(t *testing.T) {
-	l := NewLRU[*int](64, 4)
+	l := New[*int](64)
 	const goroutines = 16
 	got := make([]*int, goroutines)
 	var created int
@@ -118,14 +82,12 @@ func TestGetOrCreateSharesOneValue(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			v, madeIt := l.GetOrCreate("the-key", func() *int {
+			got[g] = l.GetOrCreate("the-key", func() *int {
 				mu.Lock()
 				created++
 				mu.Unlock()
 				return new(int)
 			})
-			_ = madeIt
-			got[g] = v
 		}(g)
 	}
 	wg.Wait()
@@ -137,10 +99,13 @@ func TestGetOrCreateSharesOneValue(t *testing.T) {
 			t.Fatalf("goroutine %d received a different value", g)
 		}
 	}
+	if st := l.Stats(); st.Misses != 1 || st.Hits != goroutines-1 {
+		t.Fatalf("hits/misses = %d/%d, want %d/1", st.Hits, st.Misses, goroutines-1)
+	}
 }
 
-func TestDumpOrderSingleShard(t *testing.T) {
-	l := NewLRU[int](4, 1)
+func TestDumpOrder(t *testing.T) {
+	l := New[int](4)
 	for i, k := range []string{"a", "b", "c", "d"} {
 		l.Add(k, i)
 	}
@@ -158,23 +123,32 @@ func TestDumpOrderSingleShard(t *testing.T) {
 }
 
 // TestDumpReloadRoundTrip checks the snapshot contract: re-adding a dump in
-// order into a fresh cache (any fan-out) keeps every entry and leaves the
-// most recently used keys most recent in their shards.
+// order into a fresh cache keeps every entry and value and reproduces the
+// recency order, so both caches evict the same keys next.
 func TestDumpReloadRoundTrip(t *testing.T) {
-	src := NewLRU[int](128, 4)
+	src := New[int](128)
 	for i := 0; i < 100; i++ {
 		src.Add(fmt.Sprintf("key-%d", i), i)
+	}
+	for i := 0; i < 100; i += 3 {
+		src.Get(fmt.Sprintf("key-%d", i))
 	}
 	dump := src.Dump()
 	if len(dump) != 100 {
 		t.Fatalf("dump has %d entries, want 100", len(dump))
 	}
-	dst := NewLRU[int](128, 1)
+	dst := New[int](128)
 	for _, e := range dump {
 		dst.Add(e.Key, e.Val)
 	}
-	if dst.Len() != 100 {
-		t.Fatalf("reloaded %d entries, want 100", dst.Len())
+	again := dst.Dump()
+	if len(again) != len(dump) {
+		t.Fatalf("reloaded %d entries, want %d", len(again), len(dump))
+	}
+	for i := range dump {
+		if again[i] != dump[i] {
+			t.Fatalf("reloaded dump[%d] = %v, want %v", i, again[i], dump[i])
+		}
 	}
 	for i := 0; i < 100; i++ {
 		k := fmt.Sprintf("key-%d", i)
@@ -184,24 +158,10 @@ func TestDumpReloadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestHashMatchesFNV1a(t *testing.T) {
-	// Reference vectors for 32-bit FNV-1a.
-	cases := map[string]uint32{
-		"":    2166136261,
-		"a":   0xe40c292c,
-		"foo": 0xa9f37ed7,
-	}
-	for in, want := range cases {
-		if got := Hash(in); got != want {
-			t.Fatalf("Hash(%q) = %#x, want %#x", in, got, want)
-		}
-	}
-}
-
 // TestConcurrentChurn hammers all operations from many goroutines under a
 // tight capacity so eviction churn races with reads; run with -race.
 func TestConcurrentChurn(t *testing.T) {
-	l := NewLRU[int](128, 0)
+	l := New[int](128)
 	const goroutines = 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -210,19 +170,21 @@ func TestConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				k := fmt.Sprintf("key-%d", (g*31+i)%512)
-				switch i % 3 {
+				switch i % 4 {
 				case 0:
 					l.Add(k, i)
 				case 1:
 					l.Get(k)
-				default:
+				case 2:
 					l.GetOrCreate(k, func() int { return i })
+				default:
+					l.Dump()
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if n := l.Len(); n > 128 {
-		t.Fatalf("len = %d exceeds capacity under churn", n)
+	if n := l.Len(); n != 128 {
+		t.Fatalf("len = %d after churn over 512 keys, want capacity 128", n)
 	}
 }

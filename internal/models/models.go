@@ -9,6 +9,8 @@ package models
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"catamount/internal/fit"
 	"catamount/internal/graph"
@@ -30,6 +32,20 @@ const (
 
 // AllDomains lists every domain in the paper's Table 1 order.
 var AllDomains = []Domain{WordLM, CharLM, NMT, Speech, ImageCl}
+
+// ParseDomain resolves a domain name, ignoring case and surrounding
+// space. The error names the input and lists the known domains.
+func ParseDomain(name string) (Domain, error) {
+	key := Domain(strings.ToLower(strings.TrimSpace(name)))
+	if slices.Contains(AllDomains, key) {
+		return key, nil
+	}
+	known := make([]string, len(AllDomains))
+	for i, d := range AllDomains {
+		known[i] = string(d)
+	}
+	return "", fmt.Errorf("unknown domain %q (one of: %s)", name, strings.Join(known, ", "))
+}
 
 // Model wraps a training-step compute graph with its scaling knobs.
 type Model struct {

@@ -379,11 +379,3 @@ func isBackwardNode(n *graph.Node) bool {
 	}
 	return false
 }
-
-// ZerosLike creates an activation tensor matching t, produced by a Fill node
-// (used by tests and synthetic workloads).
-func ZerosLike(b *Builder, t *graph.Tensor) *graph.Tensor {
-	z := b.G.NewTensor("zeros:"+t.Name, graph.Activation, t.DType, t.Shape)
-	b.G.MustAddNode("fill:"+t.Name, t.Group, Fill{}, nil, []*graph.Tensor{z})
-	return z
-}

@@ -30,9 +30,6 @@ func NewBuilder(name string) *Builder {
 // and parameters (used by layer-parallelism planning).
 func (b *Builder) Group(name string) { b.group = name }
 
-// CurrentGroup returns the active group label.
-func (b *Builder) CurrentGroup() string { return b.group }
-
 func (b *Builder) nodeName(kind string) string {
 	b.seq++
 	return fmt.Sprintf("%s/%s_%d", b.group, kind, b.seq)

@@ -232,9 +232,12 @@ type Planner struct {
 // and resolves the target and search grid. Every error out of New is a
 // spec problem (the server maps them to 400).
 func New(src sweep.SessionSource, spec Spec) (*Planner, error) {
-	d, err := parseDomain(spec.Domain)
+	if strings.TrimSpace(spec.Domain) == "" {
+		return nil, fmt.Errorf("plan: spec needs a domain")
+	}
+	d, err := models.ParseDomain(spec.Domain)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("plan: %w", err)
 	}
 	target, err := ResolveTarget(d, spec.TargetErr)
 	if err != nil {
@@ -650,21 +653,4 @@ func sortedFrontier(plans []Plan) []Plan {
 		return a.Workers < b.Workers
 	})
 	return out
-}
-
-func parseDomain(name string) (models.Domain, error) {
-	key := strings.ToLower(strings.TrimSpace(name))
-	if key == "" {
-		return "", fmt.Errorf("plan: spec needs a domain")
-	}
-	for _, d := range models.AllDomains {
-		if string(d) == key {
-			return d, nil
-		}
-	}
-	known := make([]string, 0, len(models.AllDomains))
-	for _, d := range models.AllDomains {
-		known = append(known, string(d))
-	}
-	return "", fmt.Errorf("plan: unknown domain %q (one of: %s)", name, strings.Join(known, ", "))
 }

@@ -82,9 +82,8 @@ func BenchmarkServerFrontierCached(b *testing.B) {
 	}
 }
 
-// benchPaths is the hot working set: distinct canonical keys spread across
-// cache shards, so the concurrent load exercises shard fan-out rather than
-// hammering a single entry's lock.
+// benchPaths is the hot working set: 32 distinct canonical keys, so the
+// parallel load reads many cache entries rather than one.
 func benchPaths() []string {
 	paths := make([]string, 0, 32)
 	for i := 0; i < 32; i++ {
@@ -115,8 +114,8 @@ func benchRequests(s *Server, paths []string) ([]*http.Request, error) {
 
 // BenchmarkServerAnalyzeParallel drives the cached hot path from
 // b.RunParallel workers over a spread of keys — the measurement that
-// shows (run with -cpu 1,4) whether cached serving scales with cores or
-// serializes on cache-wide locks.
+// shows (run with -cpu 1,4) how cached serving scales with cores through
+// the response cache's one lock.
 func BenchmarkServerAnalyzeParallel(b *testing.B) {
 	s := New(Config{Engine: sharedEngine, CacheEntries: 1024, MaxInFlight: 256})
 	paths := benchPaths()

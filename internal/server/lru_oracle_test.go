@@ -3,91 +3,73 @@ package server
 import (
 	"container/list"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"sync"
 	"testing"
 
-	"catamount/internal/shard"
+	cat "catamount"
+	"catamount/internal/costmodel"
+	"catamount/internal/hw"
+	"catamount/internal/lru"
 )
 
-// These property tests pin the sharded response cache to the original
-// single-mutex lruCache, kept at the end of this file as the oracle: a
-// single-shard shard.LRU must be operation-for-operation identical to it,
-// and a multi-shard one must be identical per shard (each shard is an
-// independent LRU over its key subset and capacity slice).
-
-// oracleOps drives n random get/add operations over k keys through both
-// caches, failing on the first divergence.
-func oracleOps(t *testing.T, rng *rand.Rand, sharded *shard.LRU[[]byte], oracle func(key string) *lruCache, n, k int) {
-	t.Helper()
-	for i := 0; i < n; i++ {
-		key := fmt.Sprintf("key-%d", rng.Intn(k))
-		if rng.Intn(2) == 0 {
-			val := []byte(fmt.Sprintf("val-%d", i))
-			sharded.Add(key, val)
-			oracle(key).add(key, val)
-			continue
-		}
-		got, gotOK := sharded.Get(key)
-		want, wantOK := oracle(key).get(key)
-		if gotOK != wantOK || string(got) != string(want) {
-			t.Fatalf("op %d: Get(%q) = (%q, %v), oracle (%q, %v)", i, key, got, gotOK, want, wantOK)
-		}
-	}
-}
-
-// TestShardedLRUMatchesOracleSingleShard: with one shard, the sharded
-// cache must reproduce the original LRU's observable behavior exactly —
-// same hits, same misses, same evictions, on any operation sequence.
+// TestShardedLRUMatchesOracleSingleShard pins the response cache to the
+// original single-mutex lruCache, kept at the end of this file as the
+// oracle: on a random operation sequence the lru.Cache must answer every
+// Get as the oracle does, which pins its recency order and evictions. The
+// name dates from the sharded cache lru.Cache replaced, whose single-shard
+// setting this test checked.
 func TestShardedLRUMatchesOracleSingleShard(t *testing.T) {
 	for _, capacity := range []int{1, 2, 7, 32} {
 		capacity := capacity
 		t.Run(fmt.Sprintf("cap%d", capacity), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(capacity)))
-			sharded := shard.NewLRU[[]byte](capacity, 1)
+			cache := lru.New[[]byte](capacity)
 			oracle := newLRU(capacity)
-			oracleOps(t, rng, sharded, func(string) *lruCache { return oracle }, 4000, 3*capacity)
-			if sharded.Len() != oracle.len() {
-				t.Fatalf("Len() = %d, oracle %d", sharded.Len(), oracle.len())
+			for i := 0; i < 4000; i++ {
+				key := fmt.Sprintf("key-%d", rng.Intn(3*capacity))
+				if rng.Intn(2) == 0 {
+					val := []byte(fmt.Sprintf("val-%d", i))
+					cache.Add(key, val)
+					oracle.add(key, val)
+					continue
+				}
+				got, gotOK := cache.Get(key)
+				want, wantOK := oracle.get(key)
+				if gotOK != wantOK || string(got) != string(want) {
+					t.Fatalf("op %d: Get(%q) = (%q, %v), oracle (%q, %v)", i, key, got, gotOK, want, wantOK)
+				}
+			}
+			if cache.Len() != oracle.len() {
+				t.Fatalf("Len() = %d, oracle %d", cache.Len(), oracle.len())
 			}
 		})
 	}
 }
 
-// TestShardedLRUMatchesPerShardOracle: with several shards, each shard is
-// an independent single-mutex LRU over the keys that hash to it, sized to
-// its slice of the capacity. One oracle per shard, routed by the same
-// FNV-1a hash, must stay in lockstep.
-func TestShardedLRUMatchesPerShardOracle(t *testing.T) {
-	const capacity, shards = 61, 4 // deliberately not divisible: remainder spreads
-	sharded := shard.NewLRU[[]byte](capacity, shards)
-	if sharded.ShardCount() != shards {
-		t.Fatalf("ShardCount() = %d, want %d", sharded.ShardCount(), shards)
-	}
-	oracles := make([]*lruCache, shards)
-	for i := range oracles {
-		per := capacity / shards
-		if i < capacity%shards {
-			per++
+// TestServerCacheHoldsFullCapacity fills a 1,024-entry server cache with
+// 1,024 distinct random keys in the analyze handler's format: every one
+// must stay resident, with no eviction, whatever GOMAXPROCS is.
+func TestServerCacheHoldsFullCapacity(t *testing.T) {
+	const capacity = 1024
+	s := newTestServer(Config{CacheEntries: capacity})
+	rng := rand.New(rand.NewSource(1024))
+	domains := cat.Domains()
+	acc := accKey(hw.TargetAccelerator())
+	seen := make(map[string]bool, capacity)
+	for len(seen) < capacity {
+		key := fmt.Sprintf("analyze|%s|%g|%g|%s|%s", domains[rng.Intn(len(domains))],
+			math.Pow(10, 7+3*rng.Float64()), float64(1+rng.Intn(512)), costmodel.GraphName, acc)
+		if !seen[key] {
+			seen[key] = true
+			s.cache.Add(key, []byte("{}"))
 		}
-		oracles[i] = newLRU(per)
 	}
-	route := func(key string) *lruCache {
-		return oracles[shard.Hash(key)&uint32(shards-1)]
-	}
-	rng := rand.New(rand.NewSource(61))
-	oracleOps(t, rng, sharded, route, 8000, 200)
-
-	total := 0
-	for i, o := range oracles {
-		if got := sharded.ShardLen(i); got != o.len() {
-			t.Fatalf("shard %d: len %d, oracle %d", i, got, o.len())
-		}
-		total += o.len()
-	}
-	if sharded.Len() != total {
-		t.Fatalf("Len() = %d, oracles total %d", sharded.Len(), total)
+	if m := s.Metrics(); m.CacheEntries != capacity || m.CacheEvictions != 0 {
+		t.Fatalf("%d distinct keys left %d resident with %d evictions, want %d and 0",
+			capacity, m.CacheEntries, m.CacheEvictions, capacity)
 	}
 }
 
@@ -147,10 +129,9 @@ func TestServerConcurrentGetsDuringEvictionChurn(t *testing.T) {
 }
 
 // lruCache is the original single-mutex LRU response cache, kept as the
-// reference implementation the property tests above compare against. The
-// serving hot path itself runs on shard.LRU (see server.go), whose
-// single-shard configuration reproduces exactly this cache's observable
-// behavior.
+// reference implementation the property test above compares against. The
+// serving hot path itself runs on lru.Cache (see server.go), which must
+// reproduce exactly this cache's observable behavior.
 type lruCache struct {
 	mu       sync.Mutex
 	capacity int

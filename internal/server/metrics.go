@@ -41,7 +41,7 @@ func (s *Server) writePrometheus(w http.ResponseWriter) {
 	add("catamount_http_requests_total", "Requests received, all endpoints.", c.requests)
 	add("catamount_cache_hits_total", "Response cache hits.", c.hits)
 	add("catamount_cache_misses_total", "Response cache misses (upstream computations started).", c.misses)
-	add("catamount_cache_evictions_total", "Response cache entries evicted, all shards.", c.cacheEvictions)
+	add("catamount_cache_evictions_total", "Response cache entries evicted.", c.cacheEvictions)
 	add("catamount_coalesced_total", "Requests coalesced into an in-flight computation.", c.coalesced)
 	add("catamount_rejected_total", "Requests shed by the concurrency limiter.", c.rejected)
 	add("catamount_timeouts_total", "Requests that exceeded their deadline.", c.timeouts)

@@ -33,9 +33,10 @@ import (
 	"catamount/internal/graphio"
 	"catamount/internal/hw"
 	"catamount/internal/jobs"
+	"catamount/internal/lru"
+	"catamount/internal/models"
 	"catamount/internal/obs"
 	"catamount/internal/parallel"
-	"catamount/internal/shard"
 )
 
 // Config parameterizes a Server. The zero value gets sensible defaults.
@@ -80,7 +81,6 @@ type Metrics struct {
 	CostModelRequests map[string]int64 `json:"costmodel_requests"`
 	CacheEntries      int              `json:"cache_entries"`
 	CacheLimit        int              `json:"cache_limit"`
-	CacheShards       int              `json:"cache_shards"`
 	CacheEvictions    int64            `json:"cache_evictions"`
 	MaxInFlight       int              `json:"max_in_flight"`
 }
@@ -89,10 +89,8 @@ type Metrics struct {
 // concurrent use.
 type Server struct {
 	eng *cat.Engine
-	// cache is the sharded response LRU: a hot request locks only the
-	// shard its canonical key hashes to, so the fully cached read path
-	// scales with cores instead of serializing on one cache-wide mutex.
-	cache   *shard.LRU[[]byte]
+	// cache maps canonical request keys to marshaled responses.
+	cache   *lru.Cache[[]byte]
 	flights *flightGroup
 	sem     chan struct{}
 	// computeSem bounds concurrently *running* upstream computations.
@@ -155,7 +153,7 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		eng:            cfg.Engine,
-		cache:          shard.NewLRU[[]byte](cfg.CacheEntries, 0),
+		cache:          lru.New[[]byte](cfg.CacheEntries),
 		flights:        newFlightGroup(),
 		sem:            make(chan struct{}, cfg.MaxInFlight),
 		computeSem:     make(chan struct{}, cfg.MaxInFlight),
@@ -191,17 +189,6 @@ func New(cfg Config) *Server {
 		"Response cache occupancy.", func() float64 { return float64(s.cache.Len()) })
 	s.reg.GaugeFunc("catamount_cache_limit",
 		"Response cache capacity.", func() float64 { return float64(s.cache.Capacity()) })
-	s.reg.GaugeFunc("catamount_cache_shards",
-		"Response cache shard fan-out.", func() float64 { return float64(s.cache.ShardCount()) })
-	// One occupancy gauge per shard: a skewed key distribution (one shard
-	// full, others idle) shows up directly instead of hiding in the total.
-	for i := 0; i < s.cache.ShardCount(); i++ {
-		i := i
-		s.reg.GaugeFunc("catamount_cache_shard_entries",
-			"Response cache occupancy, by shard.",
-			func() float64 { return float64(s.cache.ShardLen(i)) },
-			obs.Label{Name: "shard", Value: strconv.Itoa(i)})
-	}
 	s.reg.GaugeFunc("catamount_max_in_flight",
 		"Concurrency limiter capacity.", func() float64 { return float64(cap(s.sem)) })
 
@@ -257,11 +244,6 @@ type counterSet struct {
 
 // readCounters loads every counter once, in a fixed order.
 func (s *Server) readCounters() counterSet {
-	cs := s.cache.Stats()
-	entries := 0
-	for _, n := range cs.ShardEntries {
-		entries += n
-	}
 	return counterSet{
 		requests:       s.requests.Load(),
 		inFlight:       s.inFlight.Load(),
@@ -276,8 +258,8 @@ func (s *Server) readCounters() counterSet {
 		planPlans:      s.planPlans.Load(),
 		cmGraph:        s.cmGraph.Load(),
 		cmPerop:        s.cmPerop.Load(),
-		cacheEntries:   entries,
-		cacheEvictions: cs.Evictions,
+		cacheEntries:   s.cache.Len(),
+		cacheEvictions: s.cache.Stats().Evictions,
 	}
 }
 
@@ -322,7 +304,6 @@ func (s *Server) Metrics() Metrics {
 		},
 		CacheEntries:   c.cacheEntries,
 		CacheLimit:     s.cache.Capacity(),
-		CacheShards:    s.cache.ShardCount(),
 		CacheEvictions: c.cacheEvictions,
 		MaxInFlight:    cap(s.sem),
 	}
@@ -572,27 +553,25 @@ func (s *Server) respondCached(w http.ResponseWriter, r *http.Request, key strin
 // healthResponse is the /healthz body: liveness plus enough build and
 // occupancy detail to tell *which* binary is alive and how warm it is.
 type healthResponse struct {
-	Status              string         `json:"status"`
-	UptimeSeconds       float64        `json:"uptime_seconds"`
-	GoVersion           string         `json:"go_version"`
-	Revision            string         `json:"vcs_revision,omitempty"`
-	Modified            bool           `json:"vcs_modified,omitempty"`
-	EngineCache         cat.CacheStats `json:"engine_cache"`
-	ResponseCache       int            `json:"response_cache_entries"`
-	ResponseCacheShards int            `json:"response_cache_shards"`
+	Status        string         `json:"status"`
+	UptimeSeconds float64        `json:"uptime_seconds"`
+	GoVersion     string         `json:"go_version"`
+	Revision      string         `json:"vcs_revision,omitempty"`
+	Modified      bool           `json:"vcs_modified,omitempty"`
+	EngineCache   cat.CacheStats `json:"engine_cache"`
+	ResponseCache int            `json:"response_cache_entries"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	rev, modified := buildRevision()
 	writeJSON(w, healthResponse{
-		Status:              "ok",
-		UptimeSeconds:       time.Since(s.start).Seconds(),
-		GoVersion:           runtime.Version(),
-		Revision:            rev,
-		Modified:            modified,
-		EngineCache:         s.eng.CacheStats(),
-		ResponseCache:       s.cache.Len(),
-		ResponseCacheShards: s.cache.ShardCount(),
+		Status:        "ok",
+		UptimeSeconds: time.Since(s.start).Seconds(),
+		GoVersion:     runtime.Version(),
+		Revision:      rev,
+		Modified:      modified,
+		EngineCache:   s.eng.CacheStats(),
+		ResponseCache: s.cache.Len(),
 	})
 }
 
@@ -791,7 +770,7 @@ func (s *Server) handleSubbatch(w http.ResponseWriter, r *http.Request) {
 	// Key on the canonical parsed policies and backend name, so aliases
 	// ("min-time", "min-time-per-sample"; "perop", "per-op-roofline") and
 	// the "" / "all" pair share one entry. params == 0 resolves inside
-	// SubbatchSelect to the domain's accuracy-frontier model size (Table 1).
+	// SubbatchSelectWith to the domain's accuracy-frontier model size (Table 1).
 	polNames := make([]string, len(policies))
 	for i, pol := range policies {
 		polNames[i] = pol.String()
@@ -1069,16 +1048,7 @@ func parseDomain(q url.Values) (cat.Domain, error) {
 	if name == "" {
 		return "", errors.New("missing required parameter \"domain\"")
 	}
-	for _, d := range cat.Domains() {
-		if string(d) == name {
-			return d, nil
-		}
-	}
-	known := make([]string, 0, len(cat.Domains()))
-	for _, d := range cat.Domains() {
-		known = append(known, string(d))
-	}
-	return "", fmt.Errorf("unknown domain %q (one of: %s)", name, strings.Join(known, ", "))
+	return models.ParseDomain(name)
 }
 
 // parsePositiveFloat reads a strictly positive finite float parameter,

@@ -248,6 +248,25 @@ func TestMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestMixedCaseDomainOnEveryEndpoint: analyze, sweep and plan resolve a
+// domain name by one rule, so a mixed-case name, with or without
+// surrounding space, names the same domain on all three.
+func TestMixedCaseDomainOnEveryEndpoint(t *testing.T) {
+	s := newTestServer(Config{})
+	cases := []struct{ method, path, body string }{
+		{http.MethodGet, "/v1/analyze?domain=WordLM&params=1e8&batch=64", ""},
+		{http.MethodGet, "/v1/analyze?domain=%20WordLM%20&params=1e8&batch=64", ""},
+		{http.MethodPost, "/v1/sweep", `{"domains":["WordLM"],"params":[1e8],"subbatches":[64]}`},
+		{http.MethodPost, "/v1/plan", `{"domain":" WordLM ","accelerators":["v100"],"subbatches":[32],"worker_counts":[16]}`},
+	}
+	for _, tc := range cases {
+		rec, _ := request(t, s, tc.method, tc.path, []byte(tc.body))
+		if rec.Code != http.StatusOK {
+			t.Errorf("%s %s %s = %d, want 200: %s", tc.method, tc.path, tc.body, rec.Code, rec.Body)
+		}
+	}
+}
+
 func TestUnservableRequestIs422(t *testing.T) {
 	// Valid syntax, impossible request: deterministic compute errors are
 	// the client's problem, not a 500.

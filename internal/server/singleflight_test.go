@@ -77,8 +77,8 @@ func TestFlightGroupForgetsPanics(t *testing.T) {
 }
 
 // TestFlightGroupStripesIndependently: concurrent do calls on distinct
-// keys each lead their own computation (no false coalescing across
-// stripes) and all complete.
+// keys each lead their own computation (no false coalescing across keys)
+// and all complete.
 func TestFlightGroupStripesIndependently(t *testing.T) {
 	g := newFlightGroup()
 	var wg sync.WaitGroup

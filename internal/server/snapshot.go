@@ -95,11 +95,12 @@ func (s *Server) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot loads a snapshot into the response cache, returning how
-// many entries were restored. A snapshot from a different schema version,
+// many entries it restored. A snapshot from a different schema version,
 // binary revision, or analysis catalog is refused with errSnapshotStale —
 // a cold cache is recoverable, stale answers are not. Entries replay in
 // dump order (least-recent first), so the restored cache evicts in the
-// same order the saved one would have.
+// same order the saved one would have; only the newest Capacity() valid
+// entries replay, so every one counted is resident afterwards.
 func (s *Server) ReadSnapshot(r io.Reader) (int, error) {
 	var snap cacheSnapshot
 	dec := json.NewDecoder(r)
@@ -116,15 +117,19 @@ func (s *Server) ReadSnapshot(r io.Reader) (int, error) {
 	if cf := catalogFingerprint(); snap.Catalog != cf {
 		return 0, fmt.Errorf("%w: catalog fingerprint %q, this binary has %q", errSnapshotStale, snap.Catalog, cf)
 	}
-	n := 0
+	valid := snap.Entries[:0]
 	for _, e := range snap.Entries {
-		if e.Key == "" || !json.Valid(e.Val) {
-			continue
+		if e.Key != "" && json.Valid(e.Val) {
+			valid = append(valid, e)
 		}
-		s.cache.Add(e.Key, []byte(e.Val))
-		n++
 	}
-	return n, nil
+	if extra := len(valid) - s.cache.Capacity(); extra > 0 {
+		valid = valid[extra:]
+	}
+	for _, e := range valid {
+		s.cache.Add(e.Key, []byte(e.Val))
+	}
+	return len(valid), nil
 }
 
 // SaveSnapshotFile writes the snapshot atomically: a temp file in the

@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -82,6 +84,44 @@ func TestSnapshotFileSaveLoad(t *testing.T) {
 	cold := newTestServer(Config{CacheEntries: 16})
 	if _, err := cold.LoadSnapshotFile(filepath.Join(dir, "absent.snap")); !os.IsNotExist(err) {
 		t.Fatalf("missing snapshot: got %v, want fs.ErrNotExist", err)
+	}
+}
+
+// TestSnapshotRestoreCountsResidentEntries: a snapshot larger than the
+// target cache restores only its newest Capacity() valid entries, so the
+// count ReadSnapshot returns, which catamountd logs, is what is resident.
+func TestSnapshotRestoreCountsResidentEntries(t *testing.T) {
+	src := newTestServer(Config{CacheEntries: 16})
+	for i := 0; i < 10; i++ {
+		src.cache.Add(fmt.Sprintf("key-%d", i), []byte(strconv.Itoa(i)))
+	}
+	var buf bytes.Buffer
+	if err := src.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap cacheSnapshot
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	// An invalid entry among the newest must not take a slot.
+	snap.Entries = append(snap.Entries, snapshotEntry{Key: "", Val: json.RawMessage("10")})
+	b, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dst := newTestServer(Config{CacheEntries: 4})
+	n, err := dst.ReadSnapshot(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resident := dst.Metrics().CacheEntries; n != 4 || resident != 4 {
+		t.Fatalf("ReadSnapshot = %d with %d resident, want 4 and 4", n, resident)
+	}
+	for i, e := range dst.cache.Dump() {
+		if want := fmt.Sprintf("key-%d", 6+i); e.Key != want {
+			t.Fatalf("resident[%d] = %s, want %s (the newest entries, oldest first)", i, e.Key, want)
+		}
 	}
 }
 

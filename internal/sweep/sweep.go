@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strings"
 	"sync"
 
 	"catamount/internal/api"
@@ -126,9 +125,9 @@ func New(src SessionSource, spec Spec) (*Runner, error) {
 		r.domains = append(r.domains, models.AllDomains...)
 	}
 	for _, name := range spec.Domains {
-		d, err := parseDomain(name)
+		d, err := models.ParseDomain(name)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("sweep: %w", err)
 		}
 		r.domains = append(r.domains, d)
 	}
@@ -605,20 +604,6 @@ func (r *Runner) forEach(ctx context.Context, n int, fn func(i int, ses *session
 	}
 	close(next)
 	wg.Wait()
-}
-
-func parseDomain(name string) (models.Domain, error) {
-	key := strings.ToLower(strings.TrimSpace(name))
-	for _, d := range models.AllDomains {
-		if string(d) == key {
-			return d, nil
-		}
-	}
-	known := make([]string, 0, len(models.AllDomains))
-	for _, d := range models.AllDomains {
-		known = append(known, string(d))
-	}
-	return "", fmt.Errorf("sweep: unknown domain %q (one of: %s)", name, strings.Join(known, ", "))
 }
 
 func positiveFinite(v float64) bool {

@@ -31,15 +31,15 @@ const maxPlanEntries = 64
 // Plan answers the inverse query: what cluster configurations reach the
 // target, and which are Pareto-optimal over {time, devices, cost}? The
 // search composes the session's compiled models through the sweep worker
-// pool, and results are memoized by canonical search key in a sharded LRU
-// — repeated queries for the same target cost one per-shard lock and a map
-// lookup, and concurrent callers for one key share a single search.
+// pool, and results are memoized by canonical search key in an LRU:
+// repeated queries for the same target cost one lock and a map lookup, and
+// concurrent callers for one key share a single search.
 func (e *Engine) Plan(spec PlanSpec) (*PlanResult, error) {
 	p, err := plan.New(e, spec)
 	if err != nil {
 		return nil, err
 	}
-	ent, _ := e.plans.GetOrCreate(p.Key(), func() *planEntry { return &planEntry{} })
+	ent := e.plans.GetOrCreate(p.Key(), func() *planEntry { return &planEntry{} })
 	ent.once.Do(func() {
 		// Detached context: the memoized result outlives any one caller,
 		// so one caller's cancellation must not poison the entry.

@@ -82,14 +82,9 @@ func (e *Engine) WriteFrontierGridWith(w io.Writer, accs []Accelerator, cm costm
 	return nil
 }
 
-// WriteFigure11Grid emits the Figure 11 subbatch sweep as CSV for each
-// accelerator in order, separated by an accelerator comment line.
-func (e *Engine) WriteFigure11Grid(w io.Writer, accs []Accelerator) error {
-	return e.WriteFigure11GridWith(w, accs, nil)
-}
-
-// WriteFigure11GridWith is WriteFigure11Grid under a pluggable step-time
-// backend (nil means the default).
+// WriteFigure11GridWith emits the Figure 11 subbatch sweep under the
+// step-time backend cm (nil means the default) as CSV for each accelerator
+// in order, separated by an accelerator comment line.
 func (e *Engine) WriteFigure11GridWith(w io.Writer, accs []Accelerator, cm costmodel.Model) error {
 	for i, acc := range accs {
 		if i > 0 {
@@ -105,14 +100,9 @@ func (e *Engine) WriteFigure11GridWith(w io.Writer, accs []Accelerator, cm costm
 	return nil
 }
 
-// WriteFigure12Grid emits the Figure 12 data-parallel scaling sweep as CSV
-// for each accelerator in order, separated by an accelerator comment line.
-func (e *Engine) WriteFigure12Grid(w io.Writer, accs []Accelerator) error {
-	return e.WriteFigure12GridWith(w, accs, nil)
-}
-
-// WriteFigure12GridWith is WriteFigure12Grid under a pluggable step-time
-// backend (nil means the default).
+// WriteFigure12GridWith emits the Figure 12 data-parallel scaling sweep
+// under the step-time backend cm (nil means the default) as CSV for each
+// accelerator in order, separated by an accelerator comment line.
 func (e *Engine) WriteFigure12GridWith(w io.Writer, accs []Accelerator, cm costmodel.Model) error {
 	for i, acc := range accs {
 		if i > 0 {
