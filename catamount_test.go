@@ -506,8 +506,9 @@ func TestEngineConcurrentQueries(t *testing.T) {
 }
 
 func TestSharedModelExprConcurrentAccess(t *testing.T) {
-	// Engine.Model hands the same *Model to every caller; its lazy
-	// expression caches must be pre-warmed so concurrent access is safe.
+	// Engine.Model hands the same *Model to every caller; its expression
+	// accessors return the graph totals WarmCosts builds exactly once, so
+	// concurrent access is safe.
 	eng := cat.NewEngine()
 	m, err := eng.Model(cat.ImageCl)
 	if err != nil {

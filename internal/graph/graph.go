@@ -15,6 +15,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"catamount/internal/symbolic"
@@ -54,8 +55,11 @@ func (k TensorKind) String() string {
 
 // Tensor is a value flowing between ops.
 type Tensor struct {
-	Name      string
-	Kind      TensorKind
+	Name string
+	Kind TensorKind
+	// DType and Shape are fixed at NewTensor, which derives the tensor's
+	// size expressions from them; changing either afterwards leaves
+	// NumElements and Bytes describing the old value.
 	DType     tensor.DType
 	Shape     tensor.Shape
 	Group     string // logical layer for parallelism planning
@@ -63,13 +67,18 @@ type Tensor struct {
 	Consumers []*Node
 
 	id int
+
+	// numel and bytes are the size expressions, shared by every tensor of
+	// the graph with the same element size and dims.
+	numel, bytes symbolic.Expr
 }
 
-// NumElements returns the symbolic element count.
-func (t *Tensor) NumElements() symbolic.Expr { return t.Shape.NumElements() }
+// NumElements returns the symbolic element count, derived once at
+// NewTensor.
+func (t *Tensor) NumElements() symbolic.Expr { return t.numel }
 
-// Bytes returns the symbolic byte size.
-func (t *Tensor) Bytes() symbolic.Expr { return t.Shape.Bytes(t.DType) }
+// Bytes returns the symbolic byte size, derived once at NewTensor.
+func (t *Tensor) Bytes() symbolic.Expr { return t.bytes }
 
 // Persistent reports whether the tensor outlives the training step.
 func (t *Tensor) Persistent() bool { return t.Kind == Param || t.Kind == State }
@@ -107,10 +116,9 @@ type Node struct {
 }
 
 // FLOPs returns the node's algorithmic FLOPs, derived from the op once and
-// cached. The first call per node is an unsynchronized cache fill; the
-// graph-level analysis entry points (EvalStats, the totals, Compile) warm
-// every node exactly once under Graph.WarmCosts, so concurrent use through
-// them is race-free.
+// cached. Graph.WarmCosts fills every node's cache exactly once and seals
+// the graph, so reads after it are race-free; a call before it is an
+// unsynchronized fill meant for single-threaded graph construction.
 func (n *Node) FLOPs() symbolic.Expr {
 	if n.flopsExpr == nil {
 		n.flopsExpr = n.Op.FLOPs(n)
@@ -153,20 +161,65 @@ type Graph struct {
 	byName   map[string]*Tensor
 	nameSeqs map[string]int
 
+	// sizes maps a tensor's element size and dims, keyed as in sizeFor, to
+	// the size expressions NewTensor shares; keyBuf is sizeFor's key buffer.
+	sizes  map[string]tensorSize
+	keyBuf []byte
+
 	warmOnce sync.Once
+	// sealed is set by WarmCosts: from then on the totals below and any
+	// Compiled bundle describe the graph, so no node and no tensor other
+	// than an Activation may be added to it.
+	sealed bool
+
+	paramCount, totalFLOPs, totalBytes, algIO symbolic.Expr
 }
 
-// WarmCosts derives and caches every node's FLOP and byte expressions,
-// exactly once per graph. All graph-level analysis entry points call it
-// first, making their per-node cache reads race-free even when several
-// goroutines analyze the same graph concurrently. (It must not run while
-// nodes are still being added.)
+// tensorSize is the pair of size expressions tensors share.
+type tensorSize struct{ numel, bytes symbolic.Expr }
+
+// WarmCosts derives every node's FLOP and byte expressions, interns them
+// by canonical string so structurally equal costs share one expression,
+// and builds the graph totals (ParamCount, TotalFLOPs, TotalBytes,
+// AlgorithmicIO), exactly once per graph. All graph-level analysis entry
+// points call it first, making their reads race-free even when several
+// goroutines analyze the same graph concurrently.
+//
+// WarmCosts seals the graph: AddNode fails afterwards, and NewTensor panics
+// for a Param, Input or State tensor, since any of them would leave the
+// totals or a Compiled bundle stale.
 func (g *Graph) WarmCosts() {
 	g.warmOnce.Do(func() {
-		for _, n := range g.nodes {
-			n.FLOPs()
-			n.Bytes()
+		g.sealed = true
+		costs := make(map[string]symbolic.Expr)
+		intern := func(e symbolic.Expr) symbolic.Expr {
+			k := e.String()
+			if c, ok := costs[k]; ok {
+				return c
+			}
+			costs[k] = e
+			return e
 		}
+		flops := make([]symbolic.Expr, len(g.nodes))
+		bytes := make([]symbolic.Expr, len(g.nodes))
+		for i, n := range g.nodes {
+			n.flopsExpr = intern(n.FLOPs())
+			n.bytesExpr = intern(n.Bytes())
+			flops[i], bytes[i] = n.flopsExpr, n.bytesExpr
+		}
+		var params, io []symbolic.Expr
+		for _, t := range g.tensors {
+			switch t.Kind {
+			case Param:
+				params = append(params, t.numel)
+			case Input:
+				io = append(io, t.bytes)
+			}
+		}
+		g.paramCount = symbolic.Add(params...)
+		g.totalFLOPs = symbolic.Add(flops...)
+		g.totalBytes = symbolic.Add(bytes...)
+		g.algIO = symbolic.Add(io...)
 	})
 }
 
@@ -176,6 +229,7 @@ func New(name string) *Graph {
 		Name:     name,
 		byName:   make(map[string]*Tensor),
 		nameSeqs: make(map[string]int),
+		sizes:    make(map[string]tensorSize),
 	}
 }
 
@@ -194,22 +248,54 @@ func (g *Graph) uniqueName(name string) string {
 }
 
 // NewTensor creates and registers a tensor. Duplicate names are uniquified.
+// The tensor's NumElements and Bytes expressions are derived here, once per
+// distinct (element size, dims) in the graph. Once WarmCosts has sealed
+// the graph it panics for any kind but Activation: a late Param, Input or
+// State tensor would change a total or the resident footprint.
 func (g *Graph) NewTensor(name string, kind TensorKind, dt tensor.DType, shape tensor.Shape) *Tensor {
+	if g.sealed && kind != Activation {
+		panic(fmt.Errorf("graph: %s tensor %q added after WarmCosts sealed graph %q", kind, name, g.Name))
+	}
+	size := g.sizeFor(dt, shape)
 	t := &Tensor{
 		Name:  g.uniqueName(name),
 		Kind:  kind,
 		DType: dt,
 		Shape: shape,
 		id:    len(g.tensors),
+		numel: size.numel,
+		bytes: size.bytes,
 	}
 	g.tensors = append(g.tensors, t)
 	g.byName[t.Name] = t
 	return t
 }
 
+// sizeFor returns the size expressions for dtype dt and shape, built on
+// the first request for that element size and those dims. The key joins
+// the element size and each dim's canonical string with NUL separators.
+func (g *Graph) sizeFor(dt tensor.DType, shape tensor.Shape) tensorSize {
+	key := strconv.AppendInt(g.keyBuf[:0], int64(dt.Size()), 10)
+	for _, d := range shape {
+		key = append(key, 0)
+		key = append(key, d.String()...)
+	}
+	g.keyBuf = key
+	if s, ok := g.sizes[string(key)]; ok {
+		return s
+	}
+	numel := shape.NumElements()
+	s := tensorSize{numel: numel, bytes: symbolic.Mul(numel, symbolic.C(float64(dt.Size())))}
+	g.sizes[string(key)] = s
+	return s
+}
+
 // AddNode creates a node wiring inputs to outputs. Each output must not
-// already have a producer.
+// already have a producer, and the graph must not be sealed by WarmCosts.
 func (g *Graph) AddNode(name, group string, op Op, inputs, outputs []*Tensor) (*Node, error) {
+	if g.sealed {
+		return nil, fmt.Errorf("graph: node %q added after WarmCosts sealed graph %q", name, g.Name)
+	}
 	n := &Node{
 		Name:    name,
 		Op:      op,
@@ -273,50 +359,35 @@ func (g *Graph) Params() []*Tensor {
 	return out
 }
 
+// The four totals below are built once, by WarmCosts, which each of them
+// calls first; calling one seals the graph.
+
 // ParamCount returns the symbolic total number of trainable parameters.
 func (g *Graph) ParamCount() symbolic.Expr {
-	parts := make([]symbolic.Expr, 0, 16)
-	for _, t := range g.tensors {
-		if t.Kind == Param {
-			parts = append(parts, t.NumElements())
-		}
-	}
-	return symbolic.Add(parts...)
+	g.WarmCosts()
+	return g.paramCount
 }
 
 // AlgorithmicIO returns the training-data bytes staged into one step — the
 // total size of Input tensors (paper §2.1: algorithmic IO is proportional to
 // batch size but fixed as model size grows).
 func (g *Graph) AlgorithmicIO() symbolic.Expr {
-	parts := make([]symbolic.Expr, 0, 8)
-	for _, t := range g.tensors {
-		if t.Kind == Input {
-			parts = append(parts, t.Bytes())
-		}
-	}
-	return symbolic.Add(parts...)
+	g.WarmCosts()
+	return g.algIO
 }
 
 // TotalFLOPs returns the symbolic algorithmic FLOPs for one traversal of the
 // whole graph (one training step if the graph includes backward ops).
 func (g *Graph) TotalFLOPs() symbolic.Expr {
 	g.WarmCosts()
-	parts := make([]symbolic.Expr, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		parts = append(parts, n.FLOPs())
-	}
-	return symbolic.Add(parts...)
+	return g.totalFLOPs
 }
 
 // TotalBytes returns the symbolic algorithmic bytes accessed by one
 // traversal of the whole graph.
 func (g *Graph) TotalBytes() symbolic.Expr {
 	g.WarmCosts()
-	parts := make([]symbolic.Expr, 0, len(g.nodes))
-	for _, n := range g.nodes {
-		parts = append(parts, n.Bytes())
-	}
-	return symbolic.Add(parts...)
+	return g.totalBytes
 }
 
 // GroupFLOPs returns per-group symbolic FLOPs totals.

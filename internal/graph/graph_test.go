@@ -65,6 +65,74 @@ func TestAddNodeCannotProduceParam(t *testing.T) {
 	}
 }
 
+func TestAddNodeAfterWarmCostsFails(t *testing.T) {
+	g := newTestGraph(t)
+	h := symbolic.S("h")
+	x := g.NewTensor("x", Input, tensor.F32, tensor.Of(h))
+	w := g.NewTensor("w", Param, tensor.F32, tensor.Of(h))
+	y := g.NewTensor("y", Activation, tensor.F32, tensor.Of(h))
+	g.MustAddNode("a", "", fakeOp{"a", 1}, []*Tensor{x, w}, []*Tensor{y})
+	g.WarmCosts()
+	params, flops, bytes, io := g.ParamCount(), g.TotalFLOPs(), g.TotalBytes(), g.AlgorithmicIO()
+
+	z := g.NewTensor("z", Activation, tensor.F32, tensor.Of(h))
+	if _, err := g.AddNode("b", "", fakeOp{"b", 1}, []*Tensor{y}, []*Tensor{z}); err == nil {
+		t.Fatal("AddNode after WarmCosts succeeded")
+	}
+	if len(y.Consumers) != 0 || z.Producer != nil || len(g.Nodes()) != 1 {
+		t.Fatal("failed AddNode changed the wiring")
+	}
+	for _, kind := range []TensorKind{Param, Input, State} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewTensor(%s) after WarmCosts did not panic", kind)
+				}
+			}()
+			g.NewTensor("late", kind, tensor.F32, tensor.Of(h))
+		}()
+	}
+	for name, pair := range map[string][2]symbolic.Expr{
+		"params": {params, g.ParamCount()},
+		"flops":  {flops, g.TotalFLOPs()},
+		"bytes":  {bytes, g.TotalBytes()},
+		"io":     {io, g.AlgorithmicIO()},
+	} {
+		if !symbolic.Equal(pair[0], pair[1]) {
+			t.Errorf("%s total changed after sealing: %v -> %v", name, pair[0], pair[1])
+		}
+	}
+}
+
+func TestTensorSizesMatchShape(t *testing.T) {
+	g := newTestGraph(t)
+	h, b := symbolic.S("h"), symbolic.S("b")
+	shapes := []tensor.Shape{
+		tensor.Of(),
+		tensor.Of(4),
+		tensor.Of(h),
+		tensor.Of(b, h),
+		tensor.Of(h, b),
+		tensor.Of(b, symbolic.Mul(symbolic.C(4), h)),
+		tensor.Of(symbolic.Add(h, b), 3),
+		tensor.Of(symbolic.Max(h, b), symbolic.Pow(h, symbolic.C(0.5))),
+	}
+	var tensors []*Tensor
+	for _, s := range shapes {
+		for _, dt := range []tensor.DType{tensor.F32, tensor.I32, tensor.F16, tensor.I64} {
+			tensors = append(tensors, g.NewTensor("t", Activation, dt, s))
+		}
+	}
+	for _, tt := range tensors {
+		if got, want := tt.NumElements(), tt.Shape.NumElements(); !symbolic.Equal(got, want) {
+			t.Errorf("%v: NumElements = %v, want %v", tt, got, want)
+		}
+		if got, want := tt.Bytes(), tt.Shape.Bytes(tt.DType); !symbolic.Equal(got, want) {
+			t.Errorf("%v: Bytes = %v, want %v", tt, got, want)
+		}
+	}
+}
+
 func TestUniqueTensorNames(t *testing.T) {
 	g := newTestGraph(t)
 	a := g.NewTensor("t", Activation, tensor.F32, tensor.Of(1))

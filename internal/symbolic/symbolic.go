@@ -642,6 +642,11 @@ func renderCall(c call) string {
 
 // splitCoef factors e into a numeric coefficient and a unit-coefficient
 // remainder. The remainder is nil when e is a pure constant.
+//
+// A mul's factors are already canonical, so the remainder is exactly what
+// Mul(factors...) would rebuild: the lone factor, or a coefficient-1 mul
+// sharing the same factors slice. Its rendering is the suffix of the mul's
+// str after the first '*', since a formatted float never contains one.
 func splitCoef(e Expr) (float64, Expr) {
 	switch v := e.(type) {
 	case Const:
@@ -650,9 +655,11 @@ func splitCoef(e Expr) (float64, Expr) {
 		if v.coef == 1 {
 			return 1, v
 		}
-		rest := make([]Expr, len(v.factors))
-		copy(rest, v.factors)
-		return v.coef, Mul(rest...)
+		if len(v.factors) == 1 {
+			return v.coef, v.factors[0]
+		}
+		unit := mul{coef: 1, factors: v.factors, str: v.str[strings.IndexByte(v.str, '*')+1:]}
+		return v.coef, unit
 	}
 	return 1, e
 }
