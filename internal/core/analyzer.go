@@ -33,9 +33,15 @@ var (
 // and then serves any number of evaluation points without re-deriving or
 // tree-walking anything: each point is "write two slots, run programs".
 //
-// An Analyzer is immutable after construction and safe for concurrent use;
-// sweep methods fan their points out across a bounded worker pool.
+// An Analyzer's compiled state is immutable after construction, and the
+// Analyzer is safe for concurrent use; sweep methods fan their points out
+// across a bounded worker pool.
 type Analyzer struct {
+	// sessions recycles evaluation scratchpads (GetSession/PutSession)
+	// across every caller of this model: grid sweeps, parallel fan-outs and
+	// scalar Characterize.
+	sessions sync.Pool
+
 	Model *models.Model
 	// Compiled is the model graph's precompiled program bundle.
 	Compiled *graph.Compiled
@@ -115,7 +121,9 @@ func (a *Analyzer) SizeForParams(target float64) (float64, error) {
 // trace (if any) into the stage spans; pass context.Background() outside a
 // request.
 func (a *Analyzer) Characterize(ctx context.Context, size, batch float64, policy graph.SchedulePolicy) (Requirements, error) {
-	slots, fp := a.newSlots(), &graph.FootprintScratch{}
+	s := a.GetSession()
+	defer a.PutSession(s)
+	slots := s.slots
 	sp := obs.StartSpan(ctx, "characterize", stageCharacterize)
 	ctx = sp.Attach(ctx)
 	defer sp.End()
@@ -138,7 +146,7 @@ func (a *Analyzer) Characterize(ctx context.Context, size, batch float64, policy
 		r.Intensity = r.FLOPsPerStep / r.BytesPerStep
 	}
 	fsp := obs.StartSpan(ctx, "footprint", stageFootprint)
-	res, err := a.Compiled.FootprintInto(slots, policy, fp)
+	res, err := a.Compiled.FootprintInto(slots, policy, &s.fp)
 	fsp.End()
 	if err != nil {
 		return r, err
@@ -152,7 +160,7 @@ func (a *Analyzer) Characterize(ctx context.Context, size, batch float64, policy
 // slot buffer, footprint scratch, and the batched-evaluation buffers,
 // reused across any number of points so a tight evaluation loop (grid
 // sweeps, serving workers) allocates nothing per point. Not safe for
-// concurrent use; each worker holds its own.
+// concurrent use; each worker holds its own, taken from the Analyzer's pool.
 type Session struct {
 	a     *Analyzer
 	slots []float64
@@ -169,13 +177,20 @@ type Session struct {
 	ops   costmodel.OpsBatch
 }
 
-// NewSession allocates an evaluation scratchpad for one goroutine.
-func (a *Analyzer) NewSession() *Session {
+// GetSession takes an evaluation scratchpad for one goroutine from the
+// Analyzer's pool, allocating one if the pool is empty, so warm callers
+// keep their buffers across calls (a fresh speech session allocates
+// 1.6 MB). Hand it back with PutSession once nothing holds a pointer into
+// it.
+func (a *Analyzer) GetSession() *Session {
+	if s, ok := a.sessions.Get().(*Session); ok {
+		return s
+	}
 	return &Session{a: a, slots: a.newSlots()}
 }
 
-// Analyzer returns the compiled session the scratchpad evaluates through.
-func (s *Session) Analyzer() *Analyzer { return s.a }
+// PutSession returns a scratchpad taken with GetSession to the pool.
+func (a *Analyzer) PutSession(s *Session) { a.sessions.Put(s) }
 
 // CharacterizeBatch evaluates a whole batch of (size, batch) points in one
 // structure-of-arrays pass: every compiled total runs once over all rows,
@@ -269,15 +284,6 @@ func (s *Session) CharacterizeBatch(ctx context.Context, sizes, batches []float6
 	return reqs, &s.costs, nil
 }
 
-// SizeForParams is Analyzer.SizeForParams over the session's reused buffers.
-func (s *Session) SizeForParams(target float64) (float64, error) {
-	size, err := s.a.sizeForParamsWith(s.slots, target)
-	if err != nil {
-		return 0, fmt.Errorf("core: %s: %w", s.a.Model.Name, err)
-	}
-	return size, nil
-}
-
 // SweepParams characterizes the model at a list of target parameter counts
 // with a fixed subbatch, fanning contiguous chunks of points out across a
 // bounded worker pool; each chunk is one batched characterize pass.
@@ -360,7 +366,8 @@ func (a *Analyzer) parallelChunks(n int, fn func(lo, hi int, s *Session) error) 
 }
 
 // parallelRange dispatches [lo, hi) index ranges of the given chunk length
-// to a bounded worker pool. The first error wins.
+// to a bounded worker pool. Each worker takes one session from the pool
+// for its lifetime; fn copies its results out of it. The first error wins.
 func (a *Analyzer) parallelRange(n, chunk int, fn func(lo, hi int, s *Session) error) error {
 	tasks := (n + chunk - 1) / chunk
 	workers := runtime.GOMAXPROCS(0)
@@ -368,7 +375,8 @@ func (a *Analyzer) parallelRange(n, chunk int, fn func(lo, hi int, s *Session) e
 		workers = tasks
 	}
 	if workers <= 1 {
-		s := a.NewSession()
+		s := a.GetSession()
+		defer a.PutSession(s)
 		for lo := 0; lo < n; lo += chunk {
 			hi := lo + chunk
 			if hi > n {
@@ -391,7 +399,8 @@ func (a *Analyzer) parallelRange(n, chunk int, fn func(lo, hi int, s *Session) e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := a.NewSession()
+			s := a.GetSession()
+			defer a.PutSession(s)
 			for lo := range next {
 				hi := lo + chunk
 				if hi > n {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"catamount/internal/graph"
@@ -229,4 +231,56 @@ func TestFootprintSweepAllocatorCap(t *testing.T) {
 	if last.AllocatorReport.DeviceBytes > 9.6e9+1 {
 		t.Fatal("allocator-visible footprint must plateau at the cap")
 	}
+}
+
+// TestSessionPoolSharedAcrossCallers drives one Analyzer's session pool
+// from several goroutines at once: scalar Characterize, and batched
+// CharacterizeBatch calls of varying width with and without per-op costs
+// on pooled sessions. A session one caller returns is then reused by
+// another caller of a different shape, and every row must still equal the
+// serial scalar result bit for bit. Run it under -race.
+func TestSessionPoolSharedAcrossCallers(t *testing.T) {
+	a, err := NewAnalyzer(testWordLM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	sizes := []float64{64, 128, 256, 512, 1024}
+	batches := []float64{8, 32, 128, 16, 64}
+	want := make([]Requirements, len(sizes))
+	for i := range sizes {
+		if want[i], err = a.Characterize(ctx, sizes[i], batches[i], graph.PolicyMemGreedy); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for it := 0; it < 20; it++ {
+				i := (g + it) % len(sizes)
+				r, err := a.Characterize(ctx, sizes[i], batches[i], graph.PolicyMemGreedy)
+				if err != nil || r != want[i] {
+					t.Errorf("goroutine %d: Characterize row %d = %+v, %v; want %+v", g, i, r, err, want[i])
+					return
+				}
+				w := 1 + i
+				s := a.GetSession()
+				reqs, _, err := s.CharacterizeBatch(ctx, sizes[:w], batches[:w], graph.PolicyMemGreedy, it%2 == 0, nil)
+				a.PutSession(s)
+				if err != nil {
+					t.Errorf("goroutine %d: CharacterizeBatch: %v", g, err)
+					return
+				}
+				for j, r := range reqs {
+					if r != want[j] {
+						t.Errorf("goroutine %d: %d-row batch row %d = %+v, want %+v", g, w, j, r, want[j])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -29,8 +29,11 @@ func referenceSpec() Spec {
 // and a tenth of the pre-batching scalar pipeline's 174483.84 bytes per
 // point. Counts, unlike wall-clock floors, hold on a one-CPU machine; they
 // catch per-point reallocation creeping back into the batched path. Each
-// backend reports the least of five warm runs, because a GC empties the
-// Runner's session pool and the run after one reallocates its buffers.
+// backend is measured in two shapes: one Runner re-run, and a fresh New per
+// run, as Engine.Sweep, plan searches, the server and jobs build one per
+// call, so evaluation buffers must outlive the Runner. Each shape reports
+// the least of five warm runs, because a GC empties the analyzers' session
+// pools and the run after one reallocates its buffers.
 func TestReferenceGridHeapCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full reference grid under two backends")
@@ -48,32 +51,45 @@ func TestReferenceGridHeapCeilings(t *testing.T) {
 	for _, backend := range []string{"graph", "perop"} {
 		spec := referenceSpec()
 		spec.CostModel = backend
-		r, err := New(sharedSource, spec)
+		reused, err := New(sharedSource, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Warm-up: build and compile every domain and fill the session pool.
-		if err := r.Run(context.Background(), check); err != nil {
+		// Warm-up: build and compile every domain and fill the session pools.
+		if err := reused.Run(context.Background(), check); err != nil {
 			t.Fatal(err)
 		}
-		allocs, bytes := math.Inf(1), math.Inf(1)
-		var ms0, ms1 runtime.MemStats
-		for run := 0; run < 5; run++ {
-			runtime.ReadMemStats(&ms0)
-			if err := r.Run(context.Background(), check); err != nil {
-				t.Fatal(err)
+		shapes := []struct {
+			name   string
+			runner func() (*Runner, error)
+		}{
+			{"reused Runner", func() (*Runner, error) { return reused, nil }},
+			{"fresh New per run", func() (*Runner, error) { return New(sharedSource, spec) }},
+		}
+		for _, shape := range shapes {
+			allocs, bytes := math.Inf(1), math.Inf(1)
+			var ms0, ms1 runtime.MemStats
+			for run := 0; run < 5; run++ {
+				runtime.ReadMemStats(&ms0)
+				r, err := shape.runner()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.Run(context.Background(), check); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&ms1)
+				pts := float64(r.Points())
+				allocs = math.Min(allocs, float64(ms1.Mallocs-ms0.Mallocs)/pts)
+				bytes = math.Min(bytes, float64(ms1.TotalAlloc-ms0.TotalAlloc)/pts)
 			}
-			runtime.ReadMemStats(&ms1)
-			pts := float64(r.Points())
-			allocs = math.Min(allocs, float64(ms1.Mallocs-ms0.Mallocs)/pts)
-			bytes = math.Min(bytes, float64(ms1.TotalAlloc-ms0.TotalAlloc)/pts)
-		}
-		t.Logf("%s: %.1f allocs/point, %.0f B/point", backend, allocs, bytes)
-		if allocs > allocsCeiling {
-			t.Errorf("%s: %.1f allocs/point above ceiling %.0f", backend, allocs, allocsCeiling)
-		}
-		if bytes > bytesCeiling {
-			t.Errorf("%s: %.0f B/point above ceiling %.0f", backend, bytes, bytesCeiling)
+			t.Logf("%s, %s: %.1f allocs/point, %.0f B/point", backend, shape.name, allocs, bytes)
+			if allocs > allocsCeiling {
+				t.Errorf("%s, %s: %.1f allocs/point above ceiling %.0f", backend, shape.name, allocs, allocsCeiling)
+			}
+			if bytes > bytesCeiling {
+				t.Errorf("%s, %s: %.0f B/point above ceiling %.0f", backend, shape.name, bytes, bytesCeiling)
+			}
 		}
 	}
 }

@@ -11,8 +11,15 @@
 // size solve runs once and is shared by every subbatch of the cell, each
 // (domain, params, subbatch) characterization — the expensive part, with
 // its footprint traversal — runs once and is shared by every accelerator,
-// and workers reuse per-goroutine evaluation buffers so steady-state points
-// allocate almost nothing.
+// and workers take their evaluation buffers from each Analyzer's session
+// pool, so steady-state points allocate almost nothing even though every
+// caller builds a fresh Runner.
+//
+// Workers balance by cost, not by row count: each domain's rows split into
+// contiguous tasks of near-equal cost (rows × graph nodes), dispatched in
+// Seq order, so a heavy domain spreads over every worker while emission
+// order — and each task's contiguous Seq range, which resume relies on —
+// stays fixed.
 //
 // Failure policy is error-per-point, not fail-the-grid: an unreachable
 // parameter target yields Points with Error set for that cell while the
@@ -35,8 +42,9 @@ import (
 	"catamount/internal/obs"
 )
 
-// stageChunk times one (domain, param-chunk) task — the sweep scheduler's
-// unit of work. Resolved once; spans off it are allocation-free.
+// stageChunk times one task (a cost-bounded group of one domain's rows) —
+// the sweep scheduler's unit of work. Resolved once; spans off it are
+// allocation-free.
 var stageChunk = obs.Stage("sweep_chunk")
 
 // SessionSource resolves a domain's compiled analysis session, building it
@@ -105,10 +113,6 @@ type Runner struct {
 	// the per-task span neither looks up nor builds the stage name.
 	stageStep     *obs.Histogram
 	stageStepName string
-
-	// pool recycles per-worker session maps across Run calls, so repeated
-	// runs (the server, the benchmark) keep their evaluation buffers.
-	pool sync.Pool
 }
 
 // CostModel returns the runner's resolved step-time backend.
@@ -220,10 +224,55 @@ func (r *Runner) cellsPerPair() int {
 	return len(r.subbatches)
 }
 
-// maxRowsPerTask bounds one task's batch width: all subbatches of a chunk
-// of parameter targets for one domain. Wide enough to amortize program
-// dispatch across rows, small enough to keep several tasks in flight.
+// maxRowsPerTask bounds one task's batch width: wide enough to amortize
+// program dispatch across rows, small enough to keep batch buffers
+// cache-sized.
 const maxRowsPerTask = 32
+
+// tasksPerWorker is how many tasks of equal cost the scheduler aims to give
+// each worker. Tasks go out in Seq order, so the worker that finishes last
+// idles the others for at most about one task: a quarter of a worker's
+// share of the grid.
+const tasksPerWorker = 4
+
+// task is the scheduler's unit of work: grid rows [lo, hi) of one domain,
+// characterized in one batched pass. Row (di*np + pi)*nb + bi is the cell
+// of domain di, parameter target pi and subbatch bi, so a task owns the
+// contiguous Seq range [lo*na, hi*na) over na accelerators.
+type task struct{ lo, hi int }
+
+// splitTasks splits the grid rows from row `from` onwards into tasks, in
+// Seq order. nodes[di] is the cost of one row of domain di: its graph's
+// node count, which the footprint simulation walks once per row. The
+// budget is the split rows' total cost over tasksPerWorker × workers. Each
+// domain's rows split into the fewest near-equal tasks of at most
+// maxRowsPerTask rows that stay within it; a row over budget is a task of
+// its own. So a heavy domain (speech: 47,745 nodes) or a plan search's 7
+// subbatches spread over every worker.
+func splitTasks(nodes []int, rowsPerDomain, from, workers int) []task {
+	span := func(di int) (lo, hi int) {
+		return max(di*rowsPerDomain, from), (di + 1) * rowsPerDomain
+	}
+	total := 0
+	for di, n := range nodes {
+		lo, hi := span(di)
+		total += max(hi-lo, 0) * n
+	}
+	budget := total / (tasksPerWorker * max(workers, 1))
+	var tasks []task
+	for di, n := range nodes {
+		lo, hi := span(di)
+		if lo >= hi {
+			continue
+		}
+		rows := min(max(budget/n, 1), maxRowsPerTask)
+		k := (hi - lo + rows - 1) / rows
+		for j := 0; j < k; j++ {
+			tasks = append(tasks, task{lo + j*(hi-lo)/k, lo + (j+1)*(hi-lo)/k})
+		}
+	}
+	return tasks
+}
 
 // solvedSize is one (domain, params) size solve, shared by every subbatch
 // and accelerator of the pair.
@@ -232,11 +281,10 @@ type solvedSize struct {
 	err  error
 }
 
-// taskResult is one evaluated (domain, param-chunk) row batch: every
-// subbatch of every chunk parameter, characterized in one batched pass and
-// priced on every accelerator with one batched step-time call each.
-// Per-row entries are indexed row-major ((param, subbatch) order); steps
-// and bounds hold valid rows only, accelerator-major, via validIdx.
+// taskResult is one evaluated task: each of its rows characterized in one
+// batched pass and priced on every accelerator with one batched step-time
+// call each. Per-row entries are indexed in row order; steps and bounds
+// hold valid rows only, accelerator-major, via validIdx.
 type taskResult struct {
 	subbatch []float64 // resolved per row (domain default applied)
 	errs     []error   // per row; nil for characterized rows
@@ -246,37 +294,6 @@ type taskResult struct {
 	steps    []float64         // steps[ai*nValid + vi]
 	bounds   []costmodel.Bound // same layout
 }
-
-// sessions lazily materializes one evaluation scratchpad per domain for a
-// single worker goroutine.
-type sessions struct {
-	src SessionSource
-	m   map[models.Domain]*core.Session
-}
-
-func (s *sessions) at(d models.Domain) (*core.Session, error) {
-	if ses, ok := s.m[d]; ok {
-		return ses, nil
-	}
-	a, err := s.src.Analyzer(d)
-	if err != nil {
-		return nil, err
-	}
-	ses := a.NewSession()
-	s.m[d] = ses
-	return ses, nil
-}
-
-// getSessions hands a worker a session map, recycled across Run calls so
-// warm runs keep their compiled-evaluation buffers.
-func (r *Runner) getSessions() *sessions {
-	if v := r.pool.Get(); v != nil {
-		return v.(*sessions)
-	}
-	return &sessions{src: r.src, m: make(map[models.Domain]*core.Session)}
-}
-
-func (r *Runner) putSessions(s *sessions) { r.pool.Put(s) }
 
 // Run evaluates the grid, streaming every point through yield in
 // deterministic order (domain-major, then params, then subbatch, then
@@ -289,84 +306,58 @@ func (r *Runner) Run(ctx context.Context, yield func(Point) error) error {
 	return r.RunFrom(ctx, 0, yield)
 }
 
-// taskSeqEnd returns one past the last Seq that task t emits. Because the
-// output order is deterministic, each task owns a contiguous Seq range;
-// this is what makes checkpointed resume exact.
-func (r *Runner) taskSeqEnd(t, np, nb, chunkLen, tasksPerDomain int) int {
-	di := t / tasksPerDomain
-	hi := (t%tasksPerDomain)*chunkLen + chunkLen
-	if hi > np {
-		hi = np
-	}
-	return (di*np + hi) * nb * len(r.accs)
-}
-
 // RunFrom is Run resuming mid-grid: it yields only points with
-// Seq >= startSeq, and — because the deterministic order assigns each
-// batched task a contiguous Seq range — skips the evaluation of every task
-// wholly before the resume point, so restarting a checkpointed job does
-// not re-pay for work already persisted. RunFrom(ctx, 0, yield) is exactly
-// Run.
+// Seq >= startSeq, and skips the size solves and characterizations of every
+// row wholly before the resume point (a row holds one cell's points, one per
+// accelerator), so restarting a checkpointed job does not re-pay for work
+// already persisted. RunFrom(ctx, 0, yield) is exactly Run.
 func (r *Runner) RunFrom(ctx context.Context, startSeq int, yield func(Point) error) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	if startSeq < 0 {
-		startSeq = 0
-	}
 
-	np, nb := len(r.params), r.cellsPerPair()
+	np, nb, na := len(r.params), r.cellsPerPair(), len(r.accs)
+	from := min(max(startSeq, 0)/na, r.Points()/na) // first row to evaluate
 
-	// Task geometry first: the resume point is expressed in tasks, and
-	// phase 1 wants to skip size solves no surviving task will read.
-	chunkLen := maxRowsPerTask / nb
-	if chunkLen < 1 {
-		chunkLen = 1
-	}
-	if chunkLen > np {
-		chunkLen = np
-	}
-	tasksPerDomain := (np + chunkLen - 1) / chunkLen
-	numTasks := len(r.domains) * tasksPerDomain
-
-	// Phase 1: solve each unique (domain, params) size once, shared by
-	// every subbatch and accelerator of the pair. Pairs belonging entirely
-	// to skipped tasks are left unsolved.
+	// Phase 1, per domain with rows left (in parallel, so cold model builds
+	// overlap): resolve its analyzer and solve each parameter target's size
+	// once, shared by every subbatch and accelerator of the pair.
+	analyzers := make([]*core.Analyzer, len(r.domains))
 	sizes := make([]solvedSize, len(r.domains)*np)
-	r.forEach(ctx, len(sizes), func(i int, ses *sessions) {
-		if startSeq > 0 {
-			task := (i/np)*tasksPerDomain + (i%np)/chunkLen
-			if r.taskSeqEnd(task, np, nb, chunkLen, tasksPerDomain) <= startSeq {
-				return
+	firstPair := from / nb
+	firstDomain := firstPair / np
+	r.forEach(ctx, len(r.domains)-firstDomain, func(k int) {
+		di := firstDomain + k
+		a, err := r.src.Analyzer(r.domains[di])
+		if err == nil {
+			analyzers[di] = a
+		}
+		for i := max(di*np, firstPair); i < (di+1)*np; i++ {
+			if err != nil {
+				sizes[i] = solvedSize{err: err}
+				continue
 			}
+			size, serr := a.SizeForParams(r.params[i%np])
+			sizes[i] = solvedSize{size: size, err: serr}
 		}
-		s, err := ses.at(r.domains[i/np])
-		if err != nil {
-			sizes[i] = solvedSize{err: err}
-			return
-		}
-		size, err := s.SizeForParams(r.params[i%np])
-		sizes[i] = solvedSize{size: size, err: err}
 	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 
-	// Phase 2: evaluate row-batched tasks across the pool, emitting in
-	// order. One task is every subbatch of a chunk of parameter targets for
-	// one domain — a whole grid row fed through a single batched
-	// characterization and one batched step-time call per accelerator.
-	results := make([]taskResult, numTasks)
-	evalTask := func(t int, ses *sessions) {
-		if r.taskSeqEnd(t, np, nb, chunkLen, tasksPerDomain) <= startSeq {
-			return // wholly before the resume point; emits nothing
+	// Phase 2: evaluate cost-balanced tasks across the pool, emitting in
+	// order. A row costs its domain's node count; a failed domain's rows
+	// only carry its error.
+	nodes := make([]int, len(r.domains))
+	for di, a := range analyzers {
+		nodes[di] = 1
+		if a != nil {
+			nodes[di] = max(len(a.Model.Graph.Nodes()), 1)
 		}
-		results[t] = r.evalTask(ctx, t, np, nb, chunkLen, tasksPerDomain, sizes, ses)
 	}
+	tasks := splitTasks(nodes, np*nb, from, r.workers)
+	results := make([]taskResult, len(tasks))
 
-	workers := r.workers
-	if workers > numTasks {
-		workers = numTasks
-	}
+	workers := min(r.workers, len(tasks))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	completed := make(chan int, workers)
@@ -374,10 +365,9 @@ func (r *Runner) RunFrom(ctx context.Context, startSeq int, yield func(Point) er
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ses := r.getSessions()
-			defer r.putSessions(ses)
 			for i := range next {
-				evalTask(i, ses)
+				t := tasks[i]
+				results[i] = r.evalTask(ctx, t, analyzers[t.lo/(np*nb)], sizes)
 				select {
 				case completed <- i:
 				case <-ctx.Done():
@@ -388,7 +378,7 @@ func (r *Runner) RunFrom(ctx context.Context, startSeq int, yield func(Point) er
 	}
 	go func() {
 		defer close(next)
-		for i := 0; i < numTasks; i++ {
+		for i := range tasks {
 			select {
 			case next <- i:
 			case <-ctx.Done():
@@ -401,18 +391,17 @@ func (r *Runner) RunFrom(ctx context.Context, startSeq int, yield func(Point) er
 		close(completed)
 	}()
 
-	ready := make([]bool, numTasks)
+	ready := make([]bool, len(tasks))
 	nextEmit := 0
 	for idx := range completed {
 		ready[idx] = true
-		for nextEmit < numTasks && ready[nextEmit] {
-			if err := r.emitTask(nextEmit, np, nb, chunkLen, tasksPerDomain, startSeq, &results[nextEmit], yield); err != nil {
+		for nextEmit < len(tasks) && ready[nextEmit] {
+			if err := r.emitTask(tasks[nextEmit], startSeq, &results[nextEmit], yield); err != nil {
 				cancel()
 				for range completed { // unblock workers until the pool drains
 				}
 				return err
 			}
-			ready[nextEmit] = false
 			results[nextEmit] = taskResult{} // release row storage early
 			nextEmit++
 		}
@@ -423,58 +412,40 @@ func (r *Runner) RunFrom(ctx context.Context, startSeq int, yield func(Point) er
 	return nil
 }
 
-// evalTask characterizes one (domain, param-chunk) row batch. Rows whose
-// size solve failed carry their error; the rest run through one
-// CharacterizeBatch and one StepTimesBatch per accelerator. The chunk span
-// carries the caller's context, so a server-side sweep's request ID tags
-// its trace lines.
-func (r *Runner) evalTask(ctx context.Context, t, np, nb, chunkLen, tasksPerDomain int,
-	sizes []solvedSize, ses *sessions) taskResult {
-
+// evalTask characterizes one task's rows with a session from the domain's
+// analyzer pool (a nil analyzer marks a failed domain, whose rows carry the
+// error phase 1 recorded). Rows whose size solve failed carry their error;
+// the rest run through one CharacterizeBatch and one StepTimesBatch per
+// accelerator. The chunk span carries the caller's context, so a
+// server-side sweep's request ID tags its trace lines.
+func (r *Runner) evalTask(ctx context.Context, t task, a *core.Analyzer, sizes []solvedSize) taskResult {
 	csp := obs.StartSpan(ctx, "sweep_chunk", stageChunk)
 	ctx = csp.Attach(ctx)
 	defer csp.End()
-	di := t / tasksPerDomain
-	lo := (t % tasksPerDomain) * chunkLen
-	hi := lo + chunkLen
-	if hi > np {
-		hi = np
-	}
-	rows := (hi - lo) * nb
+	nb := r.cellsPerPair()
+	rows := t.hi - t.lo
 	tr := taskResult{
 		subbatch: make([]float64, rows),
 		errs:     make([]error, rows),
 		validIdx: make([]int, rows),
 	}
-
-	s, err := ses.at(r.domains[di])
-	if err != nil {
-		for row := range tr.errs {
-			tr.errs[row] = err
-			tr.validIdx[row] = -1
-		}
-		return tr
-	}
-
 	sizeCol := make([]float64, 0, rows)
 	batchCol := make([]float64, 0, rows)
-	for pi := lo; pi < hi; pi++ {
-		sol := sizes[di*np+pi]
-		for bi := 0; bi < nb; bi++ {
-			row := (pi-lo)*nb + bi
-			b := s.Analyzer().Model.DefaultBatch
+	for i := range tr.errs {
+		row := t.lo + i
+		if a != nil {
+			tr.subbatch[i] = a.Model.DefaultBatch
 			if len(r.subbatches) > 0 {
-				b = r.subbatches[bi]
+				tr.subbatch[i] = r.subbatches[row%nb]
 			}
-			tr.subbatch[row] = b
-			if sol.err != nil {
-				tr.errs[row] = sol.err
-				tr.validIdx[row] = -1
-				continue
-			}
-			tr.validIdx[row] = len(sizeCol)
+		}
+		if sol := sizes[row/nb]; sol.err != nil {
+			tr.errs[i] = sol.err
+			tr.validIdx[i] = -1
+		} else {
+			tr.validIdx[i] = len(sizeCol)
 			sizeCol = append(sizeCol, sol.size)
-			batchCol = append(batchCol, b)
+			batchCol = append(batchCol, tr.subbatch[i])
 		}
 	}
 	tr.nValid = len(sizeCol)
@@ -482,12 +453,14 @@ func (r *Runner) evalTask(ctx context.Context, t, np, nb, chunkLen, tasksPerDoma
 		return tr
 	}
 
+	s := a.GetSession()
+	defer a.PutSession(s)
 	reqs, costs, err := s.CharacterizeBatch(ctx, sizeCol, batchCol, graph.PolicyMemGreedy, r.needsOps, nil)
 	if err != nil {
-		for row := range tr.errs {
-			if tr.validIdx[row] >= 0 {
-				tr.errs[row] = err
-				tr.validIdx[row] = -1
+		for i := range tr.errs {
+			if tr.validIdx[i] >= 0 {
+				tr.errs[i] = err
+				tr.validIdx[i] = -1
 			}
 		}
 		tr.nValid = 0
@@ -507,78 +480,54 @@ func (r *Runner) evalTask(ctx context.Context, t, np, nb, chunkLen, tasksPerDoma
 	return tr
 }
 
-// emitTask expands one evaluated row batch into its per-point stream, in
+// emitTask expands one evaluated task into its per-point stream, in
 // (param, subbatch, accelerator) order. The Requirements are
 // accelerator-independent; only the Roofline numbers differ per device.
-// Points with Seq < startSeq are suppressed (resumed runs); a zero-value
-// taskResult marks a task skipped entirely.
-func (r *Runner) emitTask(t, np, nb, chunkLen, tasksPerDomain, startSeq int,
-	tr *taskResult, yield func(Point) error) error {
-
-	if tr.subbatch == nil {
-		return nil
-	}
-	di := t / tasksPerDomain
-	lo := (t % tasksPerDomain) * chunkLen
-	hi := lo + chunkLen
-	if hi > np {
-		hi = np
-	}
-	for pi := lo; pi < hi; pi++ {
-		for bi := 0; bi < nb; bi++ {
-			row := (pi-lo)*nb + bi
-			cell := (di*np+pi)*nb + bi
-			if (cell+1)*len(r.accs) <= startSeq {
+// Points with Seq < startSeq are suppressed (a resumed run's first row).
+func (r *Runner) emitTask(t task, startSeq int, tr *taskResult, yield func(Point) error) error {
+	np, nb, na := len(r.params), r.cellsPerPair(), len(r.accs)
+	for i := range tr.errs {
+		row := t.lo + i
+		for ai, acc := range r.accs {
+			seq := row*na + ai
+			if seq < startSeq {
 				continue
 			}
-			for ai, acc := range r.accs {
-				if cell*len(r.accs)+ai < startSeq {
-					continue
-				}
-				p := Point{
-					Seq:         cell*len(r.accs) + ai,
-					Domain:      r.domains[di],
-					Accelerator: acc.Name,
-					ParamTarget: r.params[pi],
-					Subbatch:    tr.subbatch[row],
-					CostModel:   r.label,
-				}
-				if tr.errs[row] != nil {
-					p.Error = tr.errs[row].Error()
-				} else {
-					vi := tr.validIdx[row]
-					req := tr.reqs[vi]
-					p.Requirements = &req
-					p.StepSeconds = tr.steps[ai*tr.nValid+vi]
-					p.Utilization = acc.Utilization(req.FLOPsPerStep, p.StepSeconds)
-					p.ComputeBound = tr.bounds[ai*tr.nValid+vi] == costmodel.BoundCompute
-					p.FitsMemory = acc.Fits(req.FootprintBytes)
-				}
-				if err := yield(p); err != nil {
-					return err
-				}
+			p := Point{
+				Seq:         seq,
+				Domain:      r.domains[row/(np*nb)],
+				Accelerator: acc.Name,
+				ParamTarget: r.params[row/nb%np],
+				Subbatch:    tr.subbatch[i],
+				CostModel:   r.label,
+			}
+			if tr.errs[i] != nil {
+				p.Error = tr.errs[i].Error()
+			} else {
+				vi := tr.validIdx[i]
+				req := tr.reqs[vi]
+				p.Requirements = &req
+				p.StepSeconds = tr.steps[ai*tr.nValid+vi]
+				p.Utilization = acc.Utilization(req.FLOPsPerStep, p.StepSeconds)
+				p.ComputeBound = tr.bounds[ai*tr.nValid+vi] == costmodel.BoundCompute
+				p.FitsMemory = acc.Fits(req.FootprintBytes)
+			}
+			if err := yield(p); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// forEach runs fn(i) for i in [0, n) across the runner's worker pool, each
-// worker holding its own session map. fn records its own results; the loop
-// stops dispatching when ctx is cancelled.
-func (r *Runner) forEach(ctx context.Context, n int, fn func(i int, ses *sessions)) {
-	workers := r.workers
-	if workers > n {
-		workers = n
-	}
+// forEach runs fn(i) for i in [0, n) across the runner's workers. fn
+// records its own results; the loop stops dispatching when ctx is
+// cancelled.
+func (r *Runner) forEach(ctx context.Context, n int, fn func(i int)) {
+	workers := min(r.workers, n)
 	if workers <= 1 {
-		ses := r.getSessions()
-		defer r.putSessions(ses)
-		for i := 0; i < n; i++ {
-			if ctx.Err() != nil {
-				return
-			}
-			fn(i, ses)
+		for i := 0; i < n && ctx.Err() == nil; i++ {
+			fn(i)
 		}
 		return
 	}
@@ -588,10 +537,8 @@ func (r *Runner) forEach(ctx context.Context, n int, fn func(i int, ses *session
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ses := r.getSessions()
-			defer r.putSessions(ses)
 			for i := range next {
-				fn(i, ses)
+				fn(i)
 			}
 		}()
 	}

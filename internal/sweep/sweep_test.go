@@ -4,6 +4,9 @@ import (
 	"context"
 	stdcsv "encoding/csv"
 	"errors"
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -176,6 +179,155 @@ func TestDeterministicOrderAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// ndjsonFrom streams r from startSeq, one NDJSON line per point: every
+// byte a client of /v1/sweep, a job or cmd/sweep would see.
+func ndjsonFrom(t *testing.T, r *Runner, startSeq int) []string {
+	t.Helper()
+	var out []string
+	var line strings.Builder
+	if err := r.RunFrom(context.Background(), startSeq, func(p Point) error {
+		line.Reset()
+		if err := WriteNDJSON(&line, p); err != nil {
+			return err
+		}
+		out = append(out, line.String())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRunFromYieldsRunSuffix pins resume exactness: for every resume point
+// s in [0, Points()], RunFrom yields exactly the Seq >= s suffix of Run,
+// byte for byte, and Run's bytes do not depend on the worker count, which
+// sets the task geometry. Two grids: a plan search's (one domain × one
+// target × plan's seven default subbatches × the catalog), whose tasks end
+// in the middle of a parameter's rows, and five domains with a failing
+// 1e300 target, whose heavy domains split into several tasks.
+func TestRunFromYieldsRunSuffix(t *testing.T) {
+	grids := []struct {
+		name string
+		spec Spec
+	}{
+		{"plan", Spec{
+			Domains:    []string{"wordlm"},
+			Params:     []float64{1e8},
+			Subbatches: []float64{8, 16, 32, 64, 128, 256, 512},
+			Accelerators: []string{
+				"target-v100-class", "a100-class", "h100-class", "tpuv3-class", "cpu-class",
+			},
+		}},
+		{"five domains", Spec{
+			Params:       []float64{1e8, 1e300},
+			Accelerators: []string{"v100", "a100"},
+		}},
+	}
+	for _, g := range grids {
+		var want []string
+		for _, workers := range []int{1, 2, 3, 8} {
+			spec := g.spec
+			spec.Workers = workers
+			r, err := New(sharedSource, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full := ndjsonFrom(t, r, 0)
+			if len(full) != r.Points() {
+				t.Fatalf("%s, %d workers: Run yielded %d points, want %d", g.name, workers, len(full), r.Points())
+			}
+			if want == nil {
+				want = full
+			} else if !slices.Equal(full, want) {
+				t.Fatalf("%s: Run at %d workers differs from Run at 1 worker", g.name, workers)
+			}
+			for s := 0; s <= r.Points(); s++ {
+				if got := ndjsonFrom(t, r, s); !slices.Equal(got, full[s:]) {
+					t.Fatalf("%s, %d workers: RunFrom(%d) yielded %d points, not the %d-point suffix of Run",
+						g.name, workers, s, len(got), len(full)-s)
+				}
+			}
+		}
+	}
+}
+
+// TestTaskGeometry checks splitTasks on random grids against its contract:
+// the tasks cover every row from the resume row onwards exactly once,
+// contiguous and in Seq order; each stays in one domain and holds 1 to 32
+// rows; a task of more than one row costs at most the split rows' total
+// cost over 4 × the worker count; and each domain uses the fewest tasks
+// those limits allow, of near-equal size, so of equal cost.
+func TestTaskGeometry(t *testing.T) {
+	rng := rand.New(rand.NewPCG(18, 7))
+	for trial := 0; trial < 5000; trial++ {
+		nodes := make([]int, 1+rng.IntN(6))
+		for i := range nodes {
+			nodes[i] = 1 + rng.IntN(60000)
+		}
+		rowsPerDomain := 1 + rng.IntN(100)
+		rows := len(nodes) * rowsPerDomain
+		from := rng.IntN(rows + 1)
+		workers := 1 + rng.IntN(16)
+		tasks := splitTasks(nodes, rowsPerDomain, from, workers)
+
+		cost := 0
+		for row := from; row < rows; row++ {
+			cost += nodes[row/rowsPerDomain]
+		}
+		budget := cost / (4 * workers)
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("nodes %v, %d rows per domain, from row %d, %d workers: %v\n%s",
+				nodes, rowsPerDomain, from, workers, tasks, fmt.Sprintf(format, args...))
+		}
+		next := from
+		perDomain := map[int][]int{} // domain -> task sizes
+		for _, tk := range tasks {
+			n, di := tk.hi-tk.lo, tk.lo/rowsPerDomain
+			switch {
+			case tk.lo != next:
+				fail("task %v does not start at row %d", tk, next)
+			case n < 1 || n > 32:
+				fail("task %v holds %d rows, want 1 to 32", tk, n)
+			case (tk.hi-1)/rowsPerDomain != di:
+				fail("task %v crosses a domain boundary", tk)
+			case n > 1 && n*nodes[di] > budget:
+				fail("task %v costs %d, over the budget %d", tk, n*nodes[di], budget)
+			}
+			perDomain[di] = append(perDomain[di], n)
+			next = tk.hi
+		}
+		if next != rows {
+			fail("tasks end at row %d, want %d", next, rows)
+		}
+		for di, sizes := range perDomain {
+			lo, hi := slices.Min(sizes), slices.Max(sizes)
+			if hi-lo > 1 {
+				fail("domain %d task sizes %v differ by more than one row", di, sizes)
+			}
+			if limit := min(max(budget/nodes[di], 1), 32); len(sizes) > 1 && (len(sizes)-1)*limit >= sum(sizes) {
+				fail("domain %d uses %d tasks where %d of at most %d rows would do", di, len(sizes), len(sizes)-1, limit)
+			}
+		}
+	}
+
+	// A plan search is one domain × 7 subbatches: with 2 workers it must
+	// spread over both, whatever the domain's size.
+	for _, n := range []int{570, 47745} {
+		if tasks := splitTasks([]int{n}, 7, 0, 2); len(tasks) < 2 {
+			t.Errorf("7-row grid of %d-node rows at 2 workers: %v, want at least 2 tasks", n, tasks)
+		}
+	}
+}
+
+func sum(xs []int) int {
+	total := 0
+	for _, x := range xs {
+		total += x
+	}
+	return total
+}
+
 func TestPerPointErrorsDoNotTruncateGrid(t *testing.T) {
 	// 1e300 parameters is unreachable for any domain: that cell must fail
 	// point by point while the 1e8 cells stream through untouched.
@@ -262,8 +414,8 @@ func TestYieldErrorAborts(t *testing.T) {
 }
 
 func TestRunIsRepeatable(t *testing.T) {
-	// The same Runner may stream its grid any number of times (the server
-	// and the benchmark re-run warm); results must match exactly.
+	// The same Runner may stream its grid any number of times; results must
+	// match exactly.
 	r, err := New(sharedSource, Spec{Domains: []string{"nmt"}, Params: []float64{1e8}})
 	if err != nil {
 		t.Fatal(err)
