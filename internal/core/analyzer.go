@@ -53,11 +53,13 @@ type Analyzer struct {
 	fwdFLOPs, bwdFLOPs *symbolic.Program
 
 	// opKinds caches each node's op kind in Nodes() order, so building a
-	// per-op cost vector never re-walks the graph; opClasses caches each
-	// kind's resolved efficiency class so batched per-op pricing skips the
-	// per-node lookup.
-	opKinds   []string
-	opClasses []costmodel.Class
+	// per-op cost vector never re-walks the graph. distinctOps holds one
+	// entry per distinct (efficiency class, FLOP program, byte program)
+	// triple, and nodeOp each node's index into it, so batched per-op
+	// pricing runs once per distinct op.
+	opKinds     []string
+	distinctOps []costmodel.DistinctOp
+	nodeOp      []int32
 }
 
 // NewAnalyzer compiles a model into an analysis session. It fails if the
@@ -80,13 +82,21 @@ func NewAnalyzer(m *models.Model) (*Analyzer, error) {
 	fwd, bwd := ops.ForwardBackwardFLOPs(m.Graph)
 	a.fwdFLOPs = symbolic.Compile(fwd, c.Syms)
 	a.bwdFLOPs = symbolic.Compile(bwd, c.Syms)
-	a.opKinds = make([]string, 0, len(m.Graph.Nodes()))
-	for _, n := range m.Graph.Nodes() {
-		a.opKinds = append(a.opKinds, n.Op.Kind())
-	}
-	a.opClasses = make([]costmodel.Class, len(a.opKinds))
-	for i, k := range a.opKinds {
-		a.opClasses[i] = costmodel.ClassFor(k)
+	nodes := m.Graph.Nodes()
+	flopIx, byteIx := c.CostIndexes()
+	a.opKinds = make([]string, len(nodes))
+	a.nodeOp = make([]int32, len(nodes))
+	distinct := make(map[costmodel.DistinctOp]int32)
+	for i, n := range nodes {
+		a.opKinds[i] = n.Op.Kind()
+		op := costmodel.DistinctOp{Class: costmodel.ClassFor(a.opKinds[i]), FLOPIx: flopIx[i], ByteIx: byteIx[i]}
+		k, ok := distinct[op]
+		if !ok {
+			k = int32(len(a.distinctOps))
+			distinct[op] = k
+			a.distinctOps = append(a.distinctOps, op)
+		}
+		a.nodeOp[i] = k
 	}
 	return a, nil
 }
@@ -270,14 +280,11 @@ func (s *Session) CharacterizeBatch(ctx context.Context, sizes, batches []float6
 	s.costs = costmodel.CostsBatch{Rows: rows, FLOPs: v.flops, Bytes: v.bytes}
 	if withOps {
 		v.nodeUniq = a.Compiled.NodeCostsBatch(s.batch, v.nodeUniq, &s.eval)
-		flopIx, byteIx := a.Compiled.CostIndexes()
 		s.ops = costmodel.OpsBatch{
-			Rows:    rows,
-			Kinds:   a.opKinds,
-			Classes: a.opClasses,
-			FLOPIx:  flopIx,
-			ByteIx:  byteIx,
-			Uniq:    v.nodeUniq,
+			Rows:     rows,
+			Distinct: a.distinctOps,
+			NodeOp:   a.nodeOp,
+			Uniq:     v.nodeUniq,
 		}
 		s.costs.Ops = &s.ops
 	}

@@ -8,44 +8,39 @@ import (
 
 // Batched cost vectors: structure-of-arrays companions to Costs/OpCost for
 // evaluating one backend over many sweep points at once. The per-op view
-// exploits graph program deduplication — a training graph's thousands of
-// nodes share a few dozen distinct cost expressions — so per-node values
-// are (kind, index) gathers into a small unique-value matrix instead of
-// materialized []OpCost slices per point.
+// exploits graph program deduplication: a training graph's thousands of
+// nodes share a few dozen distinct (kernel class, FLOP program, byte
+// program) triples, so per-op pricing runs once per distinct op and row,
+// and each node is an index into that table instead of a materialized
+// []OpCost entry per point.
 //
 // Bit-for-bit contract: for every row r, StepTimesBatch and the bounds it
 // fills equal the scalar StepTime/Bound on the materialized Costs of that
-// row. Both paths run the identical per-op arithmetic (opSidesClass) and
-// accumulate per row in the same node order.
+// row. Both paths price each node with the identical per-op arithmetic
+// (opSidesClass) and accumulate per row in the same node order; the
+// batched path only prices each distinct op once and reuses the result for
+// every node that shares it.
 
-// OpsBatch is the per-op cost breakdown for a batch of rows. For node i at
-// row r, FLOPs are Uniq[FLOPIx[i]*Rows + r] and bytes are
-// Uniq[ByteIx[i]*Rows + r].
+// DistinctOp is one distinct per-op pricing problem: an efficiency class
+// and the row vectors of its FLOP and byte programs in OpsBatch.Uniq.
+type DistinctOp struct {
+	Class          Class
+	FLOPIx, ByteIx int32
+}
+
+// OpsBatch is the per-op cost breakdown for a batch of rows. Node i prices
+// as Distinct[NodeOp[i]]; for distinct op k at row r, FLOPs are
+// Uniq[Distinct[k].FLOPIx*Rows + r] and bytes Uniq[Distinct[k].ByteIx*Rows + r].
 type OpsBatch struct {
 	// Rows is the number of evaluation points.
 	Rows int
-	// Kinds holds each node's op kind, in graph Nodes() order.
-	Kinds []string
-	// Classes optionally holds each kind's resolved efficiency class
-	// (ClassFor of each Kinds entry). Producers that price many batches
-	// should fill it once; per-op pricing then skips the per-node class
-	// lookup, which otherwise dominates the batched hot loop.
-	Classes []Class
-	// FLOPIx / ByteIx map each node to its row vector in Uniq.
-	FLOPIx []int32
-	ByteIx []int32
+	// Distinct is the distinct-op table, shared by every batch of a graph.
+	Distinct []DistinctOp
+	// NodeOp maps each node, in graph Nodes() order, to its Distinct entry.
+	NodeOp []int32
 	// Uniq holds the unique cost-program results, program-major:
-	// Uniq[k*Rows : (k+1)*Rows] is unique program k across all rows.
+	// Uniq[p*Rows : (p+1)*Rows] is unique program p across all rows.
 	Uniq []float64
-}
-
-// At materializes one node's cost at one row.
-func (ob *OpsBatch) At(node, row int) OpCost {
-	return OpCost{
-		Kind:  ob.Kinds[node],
-		FLOPs: ob.Uniq[int(ob.FLOPIx[node])*ob.Rows+row],
-		Bytes: ob.Uniq[int(ob.ByteIx[node])*ob.Rows+row],
-	}
 }
 
 // CostsBatch is the evaluated cost vectors of a batch of training-step
@@ -59,14 +54,8 @@ type CostsBatch struct {
 	Ops   *OpsBatch
 }
 
-// At materializes one row's graph-level cost vector (without per-op
-// detail; per-op backends consume the batch directly).
-func (c *CostsBatch) At(row int) Costs {
-	return Costs{FLOPs: c.FLOPs[row], Bytes: c.Bytes[row]}
-}
-
-// BatchModel is the optional capability of backends that evaluate a whole
-// batch of points in one pass. Both built-in backends implement it.
+// BatchModel is a backend that evaluates a whole batch of points in one
+// pass. Both built-in backends implement it; sweeps price through it.
 type BatchModel interface {
 	Model
 	// StepTimesBatch estimates seconds per training step for every row,
@@ -100,51 +89,39 @@ func (GraphRoofline) StepTimesBatch(acc hw.Accelerator, c *CostsBatch, dst []flo
 	return dst
 }
 
-// StepTimesBatch implements BatchModel: one pass over the node list, with
-// each node's unique-value row vectors feeding every row's accumulator, so
-// the program table is walked once per batch instead of once per point.
-// Per-row accumulation runs in node order with the scalar arithmetic.
+// StepTimesBatch implements BatchModel. Each distinct op is priced once
+// per row; each row then sums its nodes' prices in node order, so every
+// summand and the summation order match the scalar StepTime and Bound.
 func (PerOpRoofline) StepTimesBatch(acc hw.Accelerator, c *CostsBatch, dst []float64, bounds []Bound) []float64 {
 	if c.Ops == nil {
 		return GraphRoofline{}.StepTimesBatch(acc, c, dst, bounds)
 	}
 	rows := c.Rows
-	dst = growFloat(dst, rows)
-	clear(dst)
-	var tc, tb []float64
-	if bounds != nil {
-		tc = make([]float64, rows)
-		tb = make([]float64, rows)
-	}
+	ob := c.Ops
 	xc := acc.AchievableCompute * acc.PeakFLOPS
 	xa := acc.AchievableMemBW * acc.MemBandwidth
 	ridge := xc / xa
-	ob := c.Ops
-	classes := ob.Classes
-	if len(classes) != len(ob.Kinds) {
-		classes = nil
-	}
-	for n := range ob.Kinds {
-		var cl Class
-		if classes != nil {
-			cl = classes[n]
-		} else {
-			cl = ClassFor(ob.Kinds[n])
+	// prices[k] is distinct op k's time, compute side and bandwidth side
+	// at the current row.
+	type price struct{ t, ct, at float64 }
+	prices := make([]price, len(ob.Distinct))
+	dst = growFloat(dst, rows)
+	for r := range rows {
+		for k, op := range ob.Distinct {
+			f, b := ob.Uniq[int(op.FLOPIx)*rows+r], ob.Uniq[int(op.ByteIx)*rows+r]
+			ct, at := opSidesClass(op.Class, f, b, xc, xa, ridge)
+			prices[k] = price{math.Max(ct, at), ct, at}
 		}
-		f := ob.Uniq[int(ob.FLOPIx[n])*rows:][:rows]
-		b := ob.Uniq[int(ob.ByteIx[n])*rows:][:rows]
-		for r := 0; r < rows; r++ {
-			ct, at := opSidesClass(cl, f[r], b[r], xc, xa, ridge)
-			dst[r] += math.Max(ct, at)
-			if bounds != nil {
-				tc[r] += ct
-				tb[r] += at
-			}
+		var t, tc, tb float64
+		for _, k := range ob.NodeOp {
+			p := &prices[k]
+			t += p.t
+			tc += p.ct
+			tb += p.at
 		}
-	}
-	if bounds != nil {
-		for r := 0; r < rows; r++ {
-			if tc[r] >= tb[r] {
+		dst[r] = t
+		if bounds != nil {
+			if tc >= tb {
 				bounds[r] = BoundCompute
 			} else {
 				bounds[r] = BoundBandwidth
@@ -154,38 +131,6 @@ func (PerOpRoofline) StepTimesBatch(acc hw.Accelerator, c *CostsBatch, dst []flo
 	return dst
 }
 
-// AsBatch returns the backend's batched evaluator. Both built-in backends
-// implement BatchModel natively; for a third-party Model without the
-// capability it returns a row-at-a-time adapter, so callers can always
-// take the batched path.
-func AsBatch(m Model) BatchModel {
-	if bm, ok := m.(BatchModel); ok {
-		return bm
-	}
-	return scalarAdapter{m}
-}
-
-// scalarAdapter runs a scalar-only backend row by row. Per-op rows are
-// materialized one node at a time; this is the compatibility slow path.
-type scalarAdapter struct{ Model }
-
-func (a scalarAdapter) StepTimesBatch(acc hw.Accelerator, c *CostsBatch, dst []float64, bounds []Bound) []float64 {
-	dst = growFloat(dst, c.Rows)
-	var ops []OpCost
-	needOps := NeedsOpCosts(a.Model) && c.Ops != nil
-	for r := 0; r < c.Rows; r++ {
-		cost := c.At(r)
-		if needOps {
-			ops = ops[:0]
-			for n := range c.Ops.Kinds {
-				ops = append(ops, c.Ops.At(n, r))
-			}
-			cost.Ops = ops
-		}
-		dst[r] = a.StepTime(acc, cost)
-		if bounds != nil {
-			bounds[r] = a.Bound(acc, cost)
-		}
-	}
-	return dst
-}
+// AsBatch returns the backend's batched evaluator. Both built-in backends,
+// the only ones Parse returns, implement BatchModel.
+func AsBatch(m Model) BatchModel { return m.(BatchModel) }

@@ -19,10 +19,11 @@
 package plan
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"catamount/internal/api"
@@ -452,14 +453,14 @@ func (p *Planner) Run(ctx context.Context) (*Result, error) {
 			}
 		}
 	}
-	markFrontier(plans, p.priced)
+	frontier := markFrontier(plans, p.priced)
 	esp.End()
 	return &Result{
 		Target:     p.target,
 		CostModel:  p.model.Name(),
 		Objectives: p.Objectives(),
 		Candidates: len(plans),
-		Frontier:   sortedFrontier(plans),
+		Frontier:   frontier,
 		Plans:      plans,
 	}, nil
 }
@@ -592,7 +593,7 @@ func Evaluate(target Target, acc hw.Accelerator, workers int, subbatch float64,
 
 // dominates reports strict Pareto dominance of a over b on {train hours,
 // devices[, cost]}: no worse everywhere, better somewhere.
-func dominates(a, b Plan, priced bool) bool {
+func dominates(a, b *Plan, priced bool) bool {
 	if a.TrainHours > b.TrainHours || a.Devices > b.Devices {
 		return false
 	}
@@ -603,54 +604,60 @@ func dominates(a, b Plan, priced bool) bool {
 		(priced && a.CostUSD < b.CostUSD)
 }
 
-// markFrontier sets OnFrontier on every feasible, non-dominated plan.
-func markFrontier(plans []Plan, priced bool) {
+// outcomeOrder is the frontier's order: fastest first, ties broken by
+// devices, cost, then identity fields so the order is fully deterministic.
+func outcomeOrder(a, b *Plan) int {
+	if c := cmp.Compare(a.TrainHours, b.TrainHours); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Devices, b.Devices); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.CostUSD, b.CostUSD); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Accelerator, b.Accelerator); c != 0 {
+		return c
+	}
+	if c := strings.Compare(string(a.Strategy), string(b.Strategy)); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Subbatch, b.Subbatch); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Workers, b.Workers)
+}
+
+// markFrontier sets OnFrontier on every feasible, non-dominated plan and
+// returns copies of those plans in outcome order.
+//
+// One stable sort puts the feasible plans in outcome order, and one scan
+// compares each plan only with the frontier members found before it. A
+// dominator is no worse on hours and devices (and cost, when priced) and
+// better on one of them, so it sorts strictly earlier; dominance is
+// transitive, so every dominated plan has a dominator on the frontier. The
+// scan costs O(n·f) comparisons for f frontier members, where testing every
+// pair costs O(n²).
+func markFrontier(plans []Plan, priced bool) []Plan {
+	order := make([]*Plan, 0, len(plans))
 	for i := range plans {
-		if !plans[i].Feasible {
-			continue
+		if plans[i].Feasible {
+			order = append(order, &plans[i])
 		}
-		dominated := false
-		for j := range plans {
-			if i != j && plans[j].Feasible && dominates(plans[j], plans[i], priced) {
-				dominated = true
+	}
+	slices.SortStableFunc(order, outcomeOrder)
+	var frontier []Plan
+	for _, p := range order {
+		p.OnFrontier = true
+		for i := range frontier {
+			if dominates(&frontier[i], p, priced) {
+				p.OnFrontier = false
 				break
 			}
 		}
-		plans[i].OnFrontier = !dominated
-	}
-}
-
-// sortedFrontier copies the frontier members in outcome order: fastest
-// first, ties broken by devices, cost, then identity fields so the order
-// is fully deterministic.
-func sortedFrontier(plans []Plan) []Plan {
-	var out []Plan
-	for _, p := range plans {
 		if p.OnFrontier {
-			out = append(out, p)
+			frontier = append(frontier, *p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.TrainHours != b.TrainHours {
-			return a.TrainHours < b.TrainHours
-		}
-		if a.Devices != b.Devices {
-			return a.Devices < b.Devices
-		}
-		if a.CostUSD != b.CostUSD {
-			return a.CostUSD < b.CostUSD
-		}
-		if a.Accelerator != b.Accelerator {
-			return a.Accelerator < b.Accelerator
-		}
-		if a.Strategy != b.Strategy {
-			return a.Strategy < b.Strategy
-		}
-		if a.Subbatch != b.Subbatch {
-			return a.Subbatch < b.Subbatch
-		}
-		return a.Workers < b.Workers
-	})
-	return out
+	return frontier
 }

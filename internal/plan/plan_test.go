@@ -2,7 +2,10 @@ package plan
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -162,14 +165,51 @@ func bruteForce(t *testing.T, spec Spec) *Result {
 			}
 		}
 	}
-	var frontier []Plan
+	frontier := sortedFrontier(plans)
+	objectives := []string{"train_hours", "devices"}
+	if priced {
+		objectives = append(objectives, "cost_usd")
+	}
+	return &Result{
+		Target:     target,
+		CostModel:  cm.Name(),
+		Objectives: objectives,
+		Candidates: len(plans),
+		Frontier:   frontier,
+		Plans:      plans,
+	}
+}
+
+// markFrontierPairwise is the reference Pareto marking: every feasible plan
+// tested against every other, O(n²), then the members sorted.
+func markFrontierPairwise(plans []Plan, priced bool) []Plan {
+	for i := range plans {
+		if !plans[i].Feasible {
+			continue
+		}
+		dominated := false
+		for j := range plans {
+			if i != j && plans[j].Feasible && dominates(&plans[j], &plans[i], priced) {
+				dominated = true
+				break
+			}
+		}
+		plans[i].OnFrontier = !dominated
+	}
+	return sortedFrontier(plans)
+}
+
+// sortedFrontier copies the frontier members in outcome order: fastest
+// first, ties broken by devices, cost, then identity fields.
+func sortedFrontier(plans []Plan) []Plan {
+	var out []Plan
 	for _, p := range plans {
 		if p.OnFrontier {
-			frontier = append(frontier, p)
+			out = append(out, p)
 		}
 	}
-	sort.Slice(frontier, func(i, j int) bool {
-		a, b := frontier[i], frontier[j]
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
 		if a.TrainHours != b.TrainHours {
 			return a.TrainHours < b.TrainHours
 		}
@@ -190,17 +230,88 @@ func bruteForce(t *testing.T, spec Spec) *Result {
 		}
 		return a.Workers < b.Workers
 	})
-	objectives := []string{"train_hours", "devices"}
-	if priced {
-		objectives = append(objectives, "cost_usd")
+	return out
+}
+
+// TestMarkFrontierMatchesPairwise checks the sort-and-scan marking against
+// the pairwise oracle on random plan sets whose fields come from small
+// value sets, so ties and exact duplicates are common. Hours include +Inf,
+// costs include zero, feasibility is random, and unpriced searches carry a
+// mixed catalog: cost set on the priced device's plans but not an
+// objective. Workers are drawn apart from devices so every identity
+// tie-break of the order is exercised.
+func TestMarkFrontierMatchesPairwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	hours := []float64{0.5, 1, 2, 3, math.Inf(1)}
+	costs := []float64{0, 1, 2.5, 4}
+	devices := []int{1, 2, 4, 8}
+	accs := []string{"priced-device", "donated-device"}
+	subbatches := []float64{8, 64}
+	strategies := AllStrategies()
+	for trial := 0; trial < 10000; trial++ {
+		priced := rng.Intn(2) == 0
+		plans := make([]Plan, rng.Intn(61))
+		for i := range plans {
+			p := Plan{
+				Accelerator: accs[rng.Intn(len(accs))],
+				Strategy:    strategies[rng.Intn(len(strategies))],
+				Workers:     devices[rng.Intn(len(devices))],
+				Subbatch:    subbatches[rng.Intn(len(subbatches))],
+				Devices:     devices[rng.Intn(len(devices))],
+				TrainHours:  hours[rng.Intn(len(hours))],
+				Feasible:    rng.Intn(4) != 0,
+			}
+			if priced || p.Accelerator == accs[0] {
+				p.CostUSD = costs[rng.Intn(len(costs))]
+			}
+			plans[i] = p
+		}
+		want := slices.Clone(plans)
+		wantFrontier := markFrontierPairwise(want, priced)
+		got := slices.Clone(plans)
+		gotFrontier := markFrontier(got, priced)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (priced %v): flags differ from the pairwise oracle:\n got  %+v\n want %+v",
+				trial, priced, got, want)
+		}
+		if !reflect.DeepEqual(gotFrontier, wantFrontier) {
+			t.Fatalf("trial %d (priced %v): frontier differs from the pairwise oracle:\n got  %+v\n want %+v",
+				trial, priced, gotFrontier, wantFrontier)
+		}
 	}
-	return &Result{
-		Target:     target,
-		CostModel:  cm.Name(),
-		Objectives: objectives,
-		Candidates: len(plans),
-		Frontier:   frontier,
-		Plans:      plans,
+}
+
+// TestMarkFrontierMatchesPairwiseDefaultSpace checks the default
+// 1,575-candidate search of every domain, under both cost models, against
+// the pairwise oracle.
+func TestMarkFrontierMatchesPairwiseDefaultSpace(t *testing.T) {
+	src := newBuildSource()
+	for _, d := range models.AllDomains {
+		for _, cm := range costmodel.Names() {
+			p, err := New(src, Spec{Domain: string(d), CostModel: cm})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := p.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Candidates != 1575 {
+				t.Fatalf("%s/%s: %d candidates, want the default 1,575", d, cm, res.Candidates)
+			}
+			want := slices.Clone(res.Plans)
+			for i := range want {
+				want[i].OnFrontier = false
+			}
+			wantFrontier := markFrontierPairwise(want, len(res.Objectives) == 3)
+			if !reflect.DeepEqual(res.Plans, want) {
+				t.Errorf("%s/%s: frontier flags differ from the pairwise oracle", d, cm)
+			}
+			if len(wantFrontier) == 0 || !reflect.DeepEqual(res.Frontier, wantFrontier) {
+				t.Errorf("%s/%s: frontier (%d plans) differs from the pairwise oracle's (%d)",
+					d, cm, len(res.Frontier), len(wantFrontier))
+			}
+		}
 	}
 }
 
@@ -291,7 +402,7 @@ func TestParetoInvariants(t *testing.T) {
 	// 1. No frontier member is dominated by any feasible plan.
 	for _, f := range res.Frontier {
 		for _, p := range res.Plans {
-			if p.Feasible && dominates(p, f, priced) {
+			if p.Feasible && dominates(&p, &f, priced) {
 				t.Errorf("frontier plan %+v dominated by %+v", f, p)
 			}
 		}
@@ -303,7 +414,7 @@ func TestParetoInvariants(t *testing.T) {
 		}
 		dominated := false
 		for _, q := range res.Plans {
-			if q.Feasible && dominates(q, p, priced) {
+			if q.Feasible && dominates(&q, &p, priced) {
 				dominated = true
 				break
 			}
