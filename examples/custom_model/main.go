@@ -58,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 	stats := c.EvalStats(slots)
-	fp, err := c.Footprint(slots, graph.PolicyMemGreedy, nil)
+	fp, err := c.Footprint(slots, graph.PolicyMemGreedy)
 	if err != nil {
 		log.Fatal(err)
 	}

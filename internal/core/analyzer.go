@@ -190,7 +190,7 @@ type Session struct {
 // GetSession takes an evaluation scratchpad for one goroutine from the
 // Analyzer's pool, allocating one if the pool is empty, so warm callers
 // keep their buffers across calls (a fresh speech session allocates
-// 1.6 MB). Hand it back with PutSession once nothing holds a pointer into
+// 1.1 MB). Hand it back with PutSession once nothing holds a pointer into
 // it.
 func (a *Analyzer) GetSession() *Session {
 	if s, ok := a.sessions.Get().(*Session); ok {
@@ -496,7 +496,7 @@ func (a *Analyzer) FitAsymptotics(paramTargets, batches []float64,
 	var fps, foots []float64
 	for _, size := range sizes[len(sizes)-2:] {
 		a.bind(slots, size, footBatch)
-		res, err := a.Compiled.Footprint(slots, policy, nil)
+		res, err := a.Compiled.Footprint(slots, policy)
 		if err != nil {
 			return asym, err
 		}

@@ -89,12 +89,11 @@ func profileCompiled(c *graph.Compiled, slots []float64) (*Profile, error) {
 		p.TotalBytes += by
 	}
 	sizes := c.TensorValues(slots, nil)
-	tensorIx := c.TensorIndexes()
 	for i, t := range g.Tensors() {
 		if t.Kind != graph.Param {
 			continue
 		}
-		by := sizes[tensorIx[i]]
+		by := sizes[c.TensorIndex(i)]
 		if gp, ok := group[t.Group]; ok {
 			gp.ParamBytes += by
 		} else {

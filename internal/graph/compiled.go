@@ -32,13 +32,13 @@ type Compiled struct {
 	// programs), so evaluation runs the unique programs and gathers per-node
 	// values by index: node i's FLOPs are costProgs[nodeFLOPIx[i]], its
 	// bytes costProgs[nodeByteIx[i]], and tensor i's size
-	// tensorProgs[tensorIx[i]].
+	// tensorProgs[TensorIndex(i)], its size class, which the wiring's
+	// per-tensor records hold.
 	costProgs  []*symbolic.Program
 	nodeFLOPIx []int32
 	nodeByteIx []int32
 
 	tensorProgs []*symbolic.Program
-	tensorIx    []int32
 
 	wiring *wiring
 }
@@ -61,7 +61,7 @@ func Compile(g *Graph) *Compiled {
 	}
 	syms := symbolic.SymTabFor(exprs...)
 
-	c := &Compiled{Graph: g, Syms: syms, wiring: g.flatten()}
+	c := &Compiled{Graph: g, Syms: syms}
 	// Compile each distinct expression once, keyed by its canonical string
 	// form (canonical constructors make equal strings mean equal trees), and
 	// point every repeat at the shared program.
@@ -83,7 +83,7 @@ func Compile(g *Graph) *Compiled {
 		c.nodeByteIx[i] = internCost(n.Bytes())
 	}
 	tensorIndex := make(map[string]int32)
-	c.tensorIx = make([]int32, len(g.tensors))
+	tensorIx := make([]int32, len(g.tensors))
 	for i, t := range g.tensors {
 		key := t.Bytes().String()
 		ix, ok := tensorIndex[key]
@@ -92,8 +92,9 @@ func Compile(g *Graph) *Compiled {
 			tensorIndex[key] = ix
 			c.tensorProgs = append(c.tensorProgs, symbolic.Compile(t.Bytes(), syms))
 		}
-		c.tensorIx[i] = ix
+		tensorIx[i] = ix
 	}
+	c.wiring = g.flatten(tensorIx)
 	c.ParamCount = symbolic.Compile(g.ParamCount(), syms)
 	c.TotalFLOPs = symbolic.Compile(g.TotalFLOPs(), syms)
 	c.TotalBytes = symbolic.Compile(g.TotalBytes(), syms)
@@ -145,12 +146,10 @@ func (c *Compiled) EvalStats(slots []float64) Stats {
 }
 
 // Footprint runs the schedule simulation for one slot binding, evaluating
-// tensor sizes through the compiled programs. scratch, when non-nil, is
-// reused for the per-tensor byte sizes (it is grown as needed); pass nil to
-// allocate internally. Loops calling this per point should prefer
-// FootprintInto, which also reuses the simulation state.
-func (c *Compiled) Footprint(slots []float64, policy SchedulePolicy, scratch []float64) (ScheduleResult, error) {
-	fs := FootprintScratch{bytes: scratch}
+// tensor sizes through the compiled programs. Loops calling this per point
+// should prefer FootprintInto, which reuses the simulation state.
+func (c *Compiled) Footprint(slots []float64, policy SchedulePolicy) (ScheduleResult, error) {
+	var fs FootprintScratch
 	return c.FootprintInto(slots, policy, &fs)
 }
 

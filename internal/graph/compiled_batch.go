@@ -52,17 +52,16 @@ func (c *Compiled) NodeCostsBatch(b *symbolic.Batch, dst []float64, s *symbolic.
 	return symbolic.EvalAllBatch(c.costProgs, b, dst, s)
 }
 
-// TensorIndexes returns the per-tensor indices (in Tensors() order) into
-// the unique tensor-byte matrix produced by TensorBytesBatch. The returned
-// slice is shared and must not be modified.
-func (c *Compiled) TensorIndexes() []int32 { return c.tensorIx }
+// TensorIndex returns tensor i's size class (i in Tensors() order): its
+// row in the unique tensor-byte matrix produced by TensorBytesBatch.
+func (c *Compiled) TensorIndex(i int) int32 { return c.wiring.init[i].class }
 
 // NumTensorPrograms returns the number of unique tensor-byte programs.
 func (c *Compiled) NumTensorPrograms() int { return len(c.tensorProgs) }
 
 // TensorValues evaluates the unique tensor-byte programs for one slot
 // binding into dst (grown as needed and returned). Per-tensor values are
-// gathers through TensorIndexes — the scalar counterpart of
+// gathers through TensorIndex — the scalar counterpart of
 // TensorBytesBatch.
 func (c *Compiled) TensorValues(slots []float64, dst []float64) []float64 {
 	return evalPrograms(c.tensorProgs, slots, dst)
@@ -120,34 +119,36 @@ func growZero(s []float64, n int) []float64 {
 }
 
 // FootprintScratch holds every buffer the footprint simulation needs —
-// per-tensor byte sizes, consumer counters, liveness flags, the ready heap,
-// and the traversal order — so repeated footprint evaluation allocates
-// nothing in steady state. One per goroutine; the zero value is ready.
+// the row's distinct tensor sizes, one 8-byte record per tensor, per-node
+// in-degrees, the ready set and the traversal order — so repeated
+// footprint evaluation allocates nothing in steady state. One per
+// goroutine; the zero value is ready.
 type FootprintScratch struct {
-	uniq  []float64
-	bytes []float64
+	sizes []float64
 	sim   footprintSim
 }
 
 // FootprintInto is Footprint with fully reused simulation state. The
 // returned Order aliases the scratch and is valid until the next call.
 func (c *Compiled) FootprintInto(slots []float64, policy SchedulePolicy, fs *FootprintScratch) (ScheduleResult, error) {
-	fs.uniq = c.TensorValues(slots, fs.uniq)
-	return c.FootprintFromBatch(fs.uniq, 1, 0, policy, fs)
+	fs.sizes = c.TensorValues(slots, fs.sizes)
+	return fs.sim.run(c.wiring, fs.sizes, policy)
 }
 
 // FootprintFromBatch runs the schedule simulation for one row of a batched
 // tensor-byte matrix previously produced by TensorBytesBatch over a batch
-// of `rows` rows. The simulation walks the int32 wiring flattened at
-// Compile time. The returned Order aliases the scratch and is valid until
-// the next call.
+// of `rows` rows. The simulation reads each tensor's size from the row's
+// distinct sizes through its size class (TensorIndex), and walks the int32
+// wiring flattened at Compile time. The returned Order aliases the scratch
+// and is valid until the next call.
 func (c *Compiled) FootprintFromBatch(uniq []float64, rows, row int, policy SchedulePolicy, fs *FootprintScratch) (ScheduleResult, error) {
-	if cap(fs.bytes) < len(c.tensorIx) {
-		fs.bytes = make([]float64, len(c.tensorIx))
+	n := len(c.tensorProgs)
+	if cap(fs.sizes) < n {
+		fs.sizes = make([]float64, n)
 	}
-	fs.bytes = fs.bytes[:len(c.tensorIx)]
-	for i, ix := range c.tensorIx {
-		fs.bytes[i] = uniq[int(ix)*rows+row]
+	fs.sizes = fs.sizes[:n]
+	for k := range fs.sizes {
+		fs.sizes[k] = uniq[k*rows+row]
 	}
-	return fs.sim.run(c.wiring, fs.bytes, policy)
+	return fs.sim.run(c.wiring, fs.sizes, policy)
 }

@@ -20,9 +20,13 @@ func TestCompiledDedup(t *testing.T) {
 		t.Fatalf("no dedup: %d unique tensor programs for %d tensors", c.NumTensorPrograms(), tensors)
 	}
 	flopIx, byteIx := c.CostIndexes()
-	if len(flopIx) != nodes || len(byteIx) != nodes || len(c.TensorIndexes()) != tensors {
-		t.Fatalf("index lengths %d/%d/%d, want %d nodes and %d tensors",
-			len(flopIx), len(byteIx), len(c.TensorIndexes()), nodes, tensors)
+	if len(flopIx) != nodes || len(byteIx) != nodes {
+		t.Fatalf("index lengths %d/%d, want %d nodes", len(flopIx), len(byteIx), nodes)
+	}
+	for i := 0; i < tensors; i++ {
+		if ix := c.TensorIndex(i); ix < 0 || int(ix) >= c.NumTensorPrograms() {
+			t.Fatalf("tensor %d: size class %d outside [0, %d)", i, ix, c.NumTensorPrograms())
+		}
 	}
 }
 
@@ -76,7 +80,7 @@ func TestBatchedCompiledMatchesScalar(t *testing.T) {
 	for _, policy := range []SchedulePolicy{PolicyFIFO, PolicyMemGreedy} {
 		for r, h := range hs {
 			slots[hSlot] = h
-			want, err := c.Footprint(slots, policy, nil)
+			want, err := c.Footprint(slots, policy)
 			if err != nil {
 				t.Fatal(err)
 			}

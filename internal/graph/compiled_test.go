@@ -31,7 +31,7 @@ func TestCompiledMatchesTreeEval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotFP, err := c.Footprint(slots, policy, nil)
+		gotFP, err := c.Footprint(slots, policy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,6 @@ func TestCompiledConcurrentEval(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			slots := c.NewSlots()
-			var scratch []float64
 			for i := 0; i < 50; i++ {
 				if err := c.Bind(slots, symbolic.Env{"h": 256}); err != nil {
 					errs <- err
@@ -111,7 +110,7 @@ func TestCompiledConcurrentEval(t *testing.T) {
 					errs <- errMismatch
 					return
 				}
-				if _, err := c.Footprint(slots, PolicyMemGreedy, scratch); err != nil {
+				if _, err := c.Footprint(slots, PolicyMemGreedy); err != nil {
 					errs <- err
 					return
 				}

@@ -62,13 +62,12 @@ func TestFootprintDomainsMatchOracle(t *testing.T) {
 	for _, d := range models.AllDomains {
 		t.Run(string(d), func(t *testing.T) {
 			m, c, uniq, rows := domainRows(t, d, params, subs)
-			ix := c.TensorIndexes()
-			bytes := make([]float64, len(ix))
+			bytes := make([]float64, len(m.Graph.Tensors()))
 			var fs graph.FootprintScratch
 			for _, policy := range []graph.SchedulePolicy{graph.PolicyFIFO, graph.PolicyMemGreedy} {
 				for r := 0; r < rows; r++ {
-					for i, k := range ix {
-						bytes[i] = uniq[int(k)*rows+r]
+					for i := range bytes {
+						bytes[i] = uniq[int(c.TensorIndex(i))*rows+r]
 					}
 					got, err := c.FootprintFromBatch(uniq, rows, r, policy, &fs)
 					if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"catamount/internal/symbolic"
@@ -71,10 +72,10 @@ func oracleFootprint(g *Graph, bytes []float64, policy SchedulePolicy) (Schedule
 			ready.push(n.id, keyFor(n))
 		}
 	}
-	var order []*Node
+	var order []int32
 	for ready.len() > 0 {
 		n := g.nodes[ready.pop()]
-		order = append(order, n)
+		order = append(order, int32(n.id))
 		for _, t := range n.Outputs {
 			if !t.Persistent() && !live[t.id] {
 				live[t.id] = true
@@ -214,11 +215,12 @@ func (h *oracleHeap) swap(i, j int) {
 	h.pos[h.arr[j]] = int32(j)
 }
 
-// replayPeak re-executes order with plain bookkeeping, independent of
-// any scheduling heap: graph inputs start live, outputs are allocated when
-// produced, and a transient tensor is freed once its last consumer edge
-// has run. It fails if order is not a topological order of every node.
-func replayPeak(g *Graph, bytes []float64, order []*Node) (float64, error) {
+// replayPeak re-executes order, a list of node ids, with plain
+// bookkeeping, independent of any scheduling heap: graph inputs start
+// live, outputs are allocated when produced, and a transient tensor is
+// freed once its last consumer edge has run. It fails if order is not a
+// topological order of every node.
+func replayPeak(g *Graph, bytes []float64, order []int32) (float64, error) {
 	if len(order) != len(g.nodes) {
 		return 0, fmt.Errorf("order has %d of %d nodes", len(order), len(g.nodes))
 	}
@@ -237,7 +239,8 @@ func replayPeak(g *Graph, bytes []float64, order []*Node) (float64, error) {
 		}
 	}
 	peak := cur
-	for _, n := range order {
+	for _, id := range order {
+		n := g.nodes[id]
 		if done[n.id] {
 			return 0, fmt.Errorf("node %s runs twice", n.Name)
 		}
@@ -291,7 +294,8 @@ func checkFootprint(t *testing.T, g *Graph, bytes []float64, policy SchedulePoli
 	}
 	for i := range want.Order {
 		if got.Order[i] != want.Order[i] {
-			t.Fatalf("%s %v: order step %d is %s, oracle %s", g.Name, policy, i, got.Order[i].Name, want.Order[i].Name)
+			t.Fatalf("%s %v: order step %d is %s, oracle %s", g.Name, policy, i,
+				g.nodes[got.Order[i]].Name, g.nodes[want.Order[i]].Name)
 		}
 	}
 	peak, err := replayPeak(g, bytes, got.Order)
@@ -350,29 +354,157 @@ func randomDAG(rng *rand.Rand, name string) *Graph {
 
 // TestFootprintMatchesOracleRandomDAGs checks the flat simulator against
 // the pointer oracle and the replay on random graphs, through both the
-// flatten-on-the-fly map-env path and the compiled path.
+// flatten-on-the-fly map-env path and the compiled path, under both
+// policies: training-step-like DAGs (randomDAG), and wide DAGs full of key
+// ties (wideTieDAG), where the pick between the newly ready slot and the
+// heap top is decided by node id.
 func TestFootprintMatchesOracleRandomDAGs(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	var fs FootprintScratch
+	for _, gen := range []struct {
+		name   string
+		seed   int64
+		graphs int
+		build  func(*rand.Rand, string) *Graph
+	}{
+		{"dag", 1, 300, randomDAG},
+		{"wide", 2, 200, wideTieDAG},
+	} {
+		rng := rand.New(rand.NewSource(gen.seed))
+		for i := 0; i < gen.graphs; i++ {
+			g := gen.build(rng, fmt.Sprintf("%s%d", gen.name, i))
+			bytes := make([]float64, len(g.tensors))
+			for _, tn := range g.tensors {
+				bytes[tn.id] = symbolic.MustEval(tn.Bytes(), nil)
+			}
+			c := Compile(g)
+			slots := c.NewSlots()
+			for _, policy := range []SchedulePolicy{PolicyFIFO, PolicyMemGreedy} {
+				got, err := g.Footprint(nil, policy)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkFootprint(t, g, bytes, policy, got)
+				got, err = c.FootprintInto(slots, policy, &fs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkFootprint(t, g, bytes, policy, got)
+			}
+		}
+	}
+}
+
+// wideTieDAG builds a layered graph whose ready set is wide and full of
+// equal keys: 2–6 layers of 8–48 nodes, each reading one or two tensors
+// of earlier layers (mostly the previous one, so ready nodes share
+// inputs), with every size drawn from {0, 1, 2}. Nodes are added in a
+// random order after all tensors exist, so node ids carry no topological
+// order: a node made ready by a step may sort before or after equal-keyed
+// nodes already waiting, and the id alone decides between them.
+func wideTieDAG(rng *rand.Rand, name string) *Graph {
+	g := New(name)
+	size := func() tensor.Shape { return tensor.Of(float64(rng.Intn(3))) }
+	var layers [][]*Tensor
+	var first []*Tensor
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		first = append(first, g.NewTensor(fmt.Sprintf("x%d", i), Input, tensor.F32, size()))
+	}
+	layers = append(layers, first)
+	if rng.Intn(2) == 0 {
+		layers[0] = append(layers[0], g.NewTensor("w", Param, tensor.F32, size()))
+	}
+	type spec struct {
+		ins, outs []*Tensor
+	}
+	var nodes []spec
+	for l, depth := 0, 2+rng.Intn(5); l < depth; l++ {
+		prev := layers[len(layers)-1]
+		var outs []*Tensor
+		for i, width := 0, 8+rng.Intn(41); i < width; i++ {
+			var s spec
+			for j, k := 0, 1+rng.Intn(2); j < k; j++ {
+				from := prev
+				if rng.Intn(5) == 0 {
+					from = layers[rng.Intn(len(layers))]
+				}
+				s.ins = append(s.ins, from[rng.Intn(len(from))])
+			}
+			for j, k := 0, 1+rng.Intn(2); j < k; j++ {
+				s.outs = append(s.outs, g.NewTensor(fmt.Sprintf("a%d_%d_%d", l, i, j), Activation, tensor.F32, size()))
+			}
+			outs = append(outs, s.outs...)
+			nodes = append(nodes, s)
+		}
+		layers = append(layers, outs)
+	}
+	for i, k := range rng.Perm(len(nodes)) {
+		g.MustAddNode(fmt.Sprintf("n%d", i), "", fakeOp{"f", 1}, nodes[k].ins, nodes[k].outs)
+	}
+	return g
+}
+
+// TestInvalidSizeNamesFirstTensor binds sizes that are negative, NaN or
+// infinite to random graphs whose tensors share a few symbolic sizes, and
+// checks that both entry paths fail naming the first tensor in id order
+// whose size is bad, as a scan of every tensor's size would: the compiled
+// path scans only the distinct sizes before it looks for the tensor.
+func TestInvalidSizeNamesFirstTensor(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	syms := []string{"a", "b", "c", "d", "e"}
+	kinds := []TensorKind{Activation, Activation, Input, Param, State}
+	bad := []float64{-1, -1e-300, math.NaN(), math.Inf(1), math.Inf(-1)}
+	var fs FootprintScratch
+	failing := 0
 	for i := 0; i < 300; i++ {
-		g := randomDAG(rng, fmt.Sprintf("dag%d", i))
-		bytes := make([]float64, len(g.tensors))
-		for _, tn := range g.tensors {
-			bytes[tn.id] = symbolic.MustEval(tn.Bytes(), nil)
+		g := New(fmt.Sprintf("bad%d", i))
+		var ts []*Tensor
+		for j, n := 0, 2+rng.Intn(12); j < n; j++ {
+			shape := tensor.Of(symbolic.S(syms[rng.Intn(len(syms))]))
+			if rng.Intn(3) == 0 {
+				shape = tensor.Of(float64(rng.Intn(4)), symbolic.S(syms[rng.Intn(len(syms))]))
+			}
+			ts = append(ts, g.NewTensor(fmt.Sprintf("t%d", j), kinds[rng.Intn(len(kinds))], tensor.F32, shape))
+		}
+		for j, t := range ts {
+			if t.Kind == Activation && t.Producer == nil {
+				g.MustAddNode(fmt.Sprintf("n%d", j), "", fakeOp{"f", 1}, []*Tensor{ts[rng.Intn(len(ts))]}, []*Tensor{t})
+			}
+		}
+		env := map[string]float64{}
+		for _, s := range syms {
+			env[s] = float64(rng.Intn(8))
+			if rng.Intn(3) == 0 {
+				env[s] = bad[rng.Intn(len(bad))]
+			}
+		}
+		want := ""
+		for _, t := range g.tensors {
+			if v := symbolic.MustEval(t.Bytes(), env); !(v >= 0 && v <= math.MaxFloat64) {
+				want = fmt.Sprintf("graph: tensor %s: size %g bytes is negative or not finite", t.Name, v)
+				failing++
+				break
+			}
 		}
 		c := Compile(g)
 		slots := c.NewSlots()
-		for _, policy := range []SchedulePolicy{PolicyFIFO, PolicyMemGreedy} {
-			got, err := g.Footprint(nil, policy)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkFootprint(t, g, bytes, policy, got)
-			got, err = c.FootprintInto(slots, policy, &fs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkFootprint(t, g, bytes, policy, got)
+		if err := c.Bind(slots, env); err != nil {
+			t.Fatal(err)
 		}
+		for _, policy := range []SchedulePolicy{PolicyFIFO, PolicyMemGreedy} {
+			_, err1 := g.Footprint(env, policy)
+			_, err2 := c.FootprintInto(slots, policy, &fs)
+			for _, err := range []error{err1, err2} {
+				got := ""
+				if err != nil {
+					got = err.Error()
+				}
+				if got != want && !(want == "" && strings.Contains(got, "cycle")) {
+					t.Fatalf("%s %v: error %q, want %q", g.Name, policy, got, want)
+				}
+			}
+		}
+	}
+	if failing < 100 {
+		t.Fatalf("only %d of 300 graphs had a bad size", failing)
 	}
 }

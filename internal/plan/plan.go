@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
 	"strings"
 
 	"catamount/internal/api"
@@ -539,23 +540,70 @@ func evaluate(cfg evalConfig, acc hw.Accelerator, workers int, subbatch float64,
 	pl.EnergyKWh = pl.TrainHours * float64(workers) * acc.TDPWatts / 1000
 
 	if subbatch < cfg.minSubbatch {
-		pl.Infeasible = append(pl.Infeasible,
-			fmt.Sprintf("subbatch %g below minimum %g", subbatch, cfg.minSubbatch))
+		pl.Infeasible = append(pl.Infeasible, subbatchReason(subbatch, cfg.minSubbatch))
 	}
 	if mem > acc.MemCapacity {
-		pl.Infeasible = append(pl.Infeasible,
-			fmt.Sprintf("needs %.1f GB per device, %s has %.1f GB", mem/1e9, acc.Name, acc.MemCapacity/1e9))
+		pl.Infeasible = append(pl.Infeasible, memoryReason(mem/1e9, acc.Name, acc.MemCapacity/1e9))
 	}
 	if cfg.budgetHours > 0 && pl.TrainHours > cfg.budgetHours {
-		pl.Infeasible = append(pl.Infeasible,
-			fmt.Sprintf("%.1f train hours over the %.1f hour budget", pl.TrainHours, cfg.budgetHours))
+		pl.Infeasible = append(pl.Infeasible, hoursReason(pl.TrainHours, cfg.budgetHours))
 	}
 	if cfg.budgetUSD > 0 && acc.Priced() && pl.CostUSD > cfg.budgetUSD {
-		pl.Infeasible = append(pl.Infeasible,
-			fmt.Sprintf("$%.0f over the $%.0f budget", pl.CostUSD, cfg.budgetUSD))
+		pl.Infeasible = append(pl.Infeasible, costReason(pl.CostUSD, cfg.budgetUSD))
 	}
 	pl.Feasible = len(pl.Infeasible) == 0
 	return pl
+}
+
+// The infeasibility reasons are built with strconv.AppendFloat, which
+// writes the same bytes as fmt's %g (format 'g', precision -1) and %.Nf
+// (format 'f', precision N) at a fraction of fmt.Sprintf's cost; evaluate
+// runs once per candidate, serially after the sweep.
+
+// subbatchReason is fmt.Sprintf("subbatch %g below minimum %g", subbatch, minimum).
+func subbatchReason(subbatch, minimum float64) string {
+	var buf [64]byte
+	b := append(buf[:0], "subbatch "...)
+	b = strconv.AppendFloat(b, subbatch, 'g', -1, 64)
+	b = append(b, " below minimum "...)
+	b = strconv.AppendFloat(b, minimum, 'g', -1, 64)
+	return string(b)
+}
+
+// memoryReason is fmt.Sprintf("needs %.1f GB per device, %s has %.1f GB",
+// needGB, acc, haveGB).
+func memoryReason(needGB float64, acc string, haveGB float64) string {
+	var buf [96]byte
+	b := append(buf[:0], "needs "...)
+	b = strconv.AppendFloat(b, needGB, 'f', 1, 64)
+	b = append(b, " GB per device, "...)
+	b = append(b, acc...)
+	b = append(b, " has "...)
+	b = strconv.AppendFloat(b, haveGB, 'f', 1, 64)
+	b = append(b, " GB"...)
+	return string(b)
+}
+
+// hoursReason is fmt.Sprintf("%.1f train hours over the %.1f hour budget",
+// hours, budget).
+func hoursReason(hours, budget float64) string {
+	var buf [64]byte
+	b := strconv.AppendFloat(buf[:0], hours, 'f', 1, 64)
+	b = append(b, " train hours over the "...)
+	b = strconv.AppendFloat(b, budget, 'f', 1, 64)
+	b = append(b, " hour budget"...)
+	return string(b)
+}
+
+// costReason is fmt.Sprintf("$%.0f over the $%.0f budget", usd, budget).
+func costReason(usd, budget float64) string {
+	var buf [64]byte
+	b := append(buf[:0], '$')
+	b = strconv.AppendFloat(b, usd, 'f', 0, 64)
+	b = append(b, " over the $"...)
+	b = strconv.AppendFloat(b, budget, 'f', 0, 64)
+	b = append(b, " budget"...)
+	return string(b)
 }
 
 // Evaluate composes one candidate exactly as Run does — exported so the

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -16,6 +17,7 @@ import (
 	"catamount/internal/graph"
 	"catamount/internal/hw"
 	"catamount/internal/models"
+	"catamount/internal/sweep"
 )
 
 // buildSource is a minimal memoizing SessionSource for tests: a fresh one
@@ -689,5 +691,66 @@ func TestCancelledContextStopsSearch(t *testing.T) {
 	cancel()
 	if _, err := p.Run(ctx); err == nil {
 		t.Fatal("cancelled search returned no error")
+	}
+}
+
+// TestReasonsMatchSprintf holds the strconv-built infeasibility reasons to
+// the fmt.Sprintf formats they replace, byte for byte, on special values
+// (±Inf, NaN, ±0), subnormals, the float64 extremes, values on the .05 and
+// .5 rounding boundaries of %.1f and %.0f, and random values of every
+// magnitude.
+func TestReasonsMatchSprintf(t *testing.T) {
+	vals := []float64{
+		math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1),
+		5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+		1e308, -1e308, math.MaxFloat64, -math.MaxFloat64,
+		0.05, 0.15, 0.25, 0.35, 0.45, 0.95, 1.05, 2.45, 12.25, 99.95, -0.05, -2.45,
+		0.049999999999999996, 0.05000000000000001, 1.0499999999999998,
+		0.5, 1.5, 2.5, -0.5, -1.5, 1e21, 123456789.5, 1e15 + 0.5,
+		1, 16, 0.1, 1e-9, 1e9, 32.5e9, 4.4e10, 1e300,
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		v := math.Float64frombits(rng.Uint64())
+		if rng.Intn(2) == 0 {
+			v = rng.Float64() * math.Pow(10, float64(rng.Intn(40)-10))
+		}
+		vals = append(vals, v)
+	}
+	for i, a := range vals {
+		b := vals[(i*7+3)%len(vals)]
+		for _, c := range []struct{ got, want string }{
+			{subbatchReason(a, b), fmt.Sprintf("subbatch %g below minimum %g", a, b)},
+			{memoryReason(a, "target-v100-class", b),
+				fmt.Sprintf("needs %.1f GB per device, %s has %.1f GB", a, "target-v100-class", b)},
+			{hoursReason(a, b), fmt.Sprintf("%.1f train hours over the %.1f hour budget", a, b)},
+			{costReason(a, b), fmt.Sprintf("$%.0f over the $%.0f budget", a, b)},
+		} {
+			if c.got != c.want {
+				t.Fatalf("values %v, %v: got %q, fmt.Sprintf gives %q", a, b, c.got, c.want)
+			}
+		}
+	}
+}
+
+// TestOverflowingSubbatchPlansEncode is cmd/plan's path for a subbatch
+// whose image characterization overflows float64 (-domain image -subbatch
+// 1e300 -format ndjson -all): every candidate of the default space is
+// infeasible with a "characterize: " reason and encodes as an NDJSON line.
+// Before, the search's first plan failed to encode with "json: unsupported
+// value: +Inf".
+func TestOverflowingSubbatchPlansEncode(t *testing.T) {
+	res := runPlanner(t, Spec{Domain: "image", Subbatches: []float64{1e300}})
+	if len(res.Plans) == 0 || len(res.Frontier) != 0 {
+		t.Fatalf("%d plans, %d on the frontier; want plans and an empty frontier", len(res.Plans), len(res.Frontier))
+	}
+	var buf strings.Builder
+	for _, p := range res.Plans {
+		if p.Feasible || len(p.Infeasible) != 1 || !strings.HasPrefix(p.Infeasible[0], "characterize: sweep: flops_per_step is +Inf") {
+			t.Fatalf("plan %+v: want one characterize reason", p)
+		}
+		if err := sweep.WriteJSONLine(&buf, p); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -158,6 +159,29 @@ func TestAcceleratorsIncludeAliasesAndPricing(t *testing.T) {
 		}
 		if acc["tdp_watts"].(float64) <= 0 {
 			t.Errorf("catalog entry %v missing TDP", acc["name"])
+		}
+	}
+}
+
+// TestPlanOverflowingSubbatchInfeasible: every plan of a search whose only
+// subbatch overflows the image model's FLOPs is infeasible with a
+// "characterize: " reason, and the answer is a 200 (it used to be a 422
+// "json: unsupported value: +Inf").
+func TestPlanOverflowingSubbatchInfeasible(t *testing.T) {
+	s := newTestServer(Config{})
+	rec, body := request(t, s, http.MethodPost, "/v1/plan",
+		[]byte(`{"domain":"image","subbatches":[1e300],"worker_counts":[1]}`))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("plan = %d %s", rec.Code, rec.Body)
+	}
+	plans := body["plans"].([]any)
+	if len(plans) == 0 {
+		t.Fatal("no plans")
+	}
+	for _, p := range plans {
+		reasons, _ := p.(map[string]any)["infeasible"].([]any)
+		if len(reasons) != 1 || !strings.HasPrefix(reasons[0].(string), "characterize: sweep: flops_per_step is +Inf") {
+			t.Fatalf("plan %v: reasons %v", p, reasons)
 		}
 	}
 }

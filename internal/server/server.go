@@ -984,7 +984,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		stats := c.EvalStats(slots)
-		fp, err := c.Footprint(slots, policy, nil)
+		fp, err := c.Footprint(slots, policy)
 		if err != nil {
 			done <- outcome{status: http.StatusUnprocessableEntity, errMsg: err.Error()}
 			return

@@ -2,7 +2,6 @@ package server
 
 import (
 	"catamount/internal/api"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -128,12 +127,19 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if runErr == nil {
 		return
 	}
-	if errors.Is(runErr, r.Context().Err()) && r.Context().Err() != nil {
+	timedOut := r.Context().Err() != nil
+	if timedOut {
 		s.timeouts.Add(1)
 	}
 	if !streaming {
 		// Nothing on the wire yet: a clean error response is still possible.
-		apiError(w, r, http.StatusGatewayTimeout, runErr.Error())
+		// Only an ended request is a timeout; any other run failure, such
+		// as a point that fails to encode, is the server's.
+		status := http.StatusInternalServerError
+		if timedOut {
+			status = http.StatusGatewayTimeout
+		}
+		apiError(w, r, status, runErr.Error())
 		return
 	}
 	// Mid-stream: the status is committed, so append the error in-band. A

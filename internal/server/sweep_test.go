@@ -9,6 +9,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -244,5 +245,70 @@ func TestSweepClientDisconnectMidStream(t *testing.T) {
 	rec := postSweep(t, s, `{"domains":["wordlm"],"params":[1e8]}`, nil)
 	if rec.Code != http.StatusOK || len(decodeNDJSON(t, rec.Body)) != 1 {
 		t.Fatalf("sweep after disconnect = %d %s", rec.Code, rec.Body)
+	}
+}
+
+// TestSweepOverflowingPointStreams: a subbatch of 1e300 overflows an image
+// point's FLOPs to +Inf. The point must stream as an error line inside a
+// 200 NDJSON or CSV stream, not fail the request (it used to answer 504
+// "timeout" with "json: unsupported value: +Inf").
+func TestSweepOverflowingPointStreams(t *testing.T) {
+	s := newTestServer(Config{})
+	spec := `{"domains":["image"],"params":[1e8],"subbatches":[1e300]}`
+	rec := postSweep(t, s, spec, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("sweep = %d %s", rec.Code, rec.Body)
+	}
+	lines := decodeNDJSON(t, rec.Body)
+	if len(lines) != 1 || !strings.Contains(lines[0].Error, "flops_per_step is +Inf") || lines[0].FLOPsPerStep != 0 {
+		t.Fatalf("stream = %+v, want one error point naming flops_per_step", lines)
+	}
+	rec = postSweep(t, s, spec, map[string]string{"Accept": "text/csv"})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("CSV sweep = %d %s", rec.Code, rec.Body)
+	}
+	rows, err := csv.NewReader(rec.Body).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 2 || !strings.Contains(rows[1][len(rows[1])-1], "flops_per_step is +Inf") ||
+		slices.Contains(rows[1], "+Inf") || slices.Contains(rows[1], "NaN") {
+		t.Fatalf("CSV = %q, want a header and one error row with no non-finite value", rows)
+	}
+}
+
+// failingWriter fails every write while its request stays live: a run
+// failure that is not the request's end.
+type failingWriter struct {
+	h      http.Header
+	status int
+}
+
+func (f *failingWriter) Header() http.Header       { return f.h }
+func (f *failingWriter) WriteHeader(status int)    { f.status = status }
+func (f *failingWriter) Write([]byte) (int, error) { return 0, errors.New("write failed") }
+
+// TestSweepFailureStatus: a run that fails before any point is on the wire
+// answers 504 "timeout" only when the request has ended; any other failure
+// is a 500.
+func TestSweepFailureStatus(t *testing.T) {
+	s := newTestServer(Config{})
+	spec := `{"domains":["wordlm"],"params":[1e8]}`
+
+	w := &failingWriter{h: make(http.Header)}
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(spec)))
+	if w.status != http.StatusInternalServerError {
+		t.Fatalf("failed write on a live request = %d, want 500", w.status)
+	}
+	if n := s.Metrics().Timeouts; n != 0 {
+		t.Fatalf("failed write counted as %d timeouts", n)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(spec)).WithContext(ctx))
+	if rec.Code != http.StatusGatewayTimeout || !strings.Contains(rec.Body.String(), `"code":"timeout"`) {
+		t.Fatalf("ended request = %d %s, want 504 timeout", rec.Code, rec.Body)
 	}
 }

@@ -467,6 +467,18 @@ func (r *Runner) evalTask(ctx context.Context, t task, a *core.Analyzer, sizes [
 		return tr
 	}
 	tr.reqs = reqs
+	// A row whose values overflowed could not be encoded: like a failed
+	// size solve, it becomes an error on each of its points. Its column
+	// stays in the batch below, unread.
+	for i, vi := range tr.validIdx {
+		if vi < 0 {
+			continue
+		}
+		if err := nonFinite(&reqs[vi]); err != nil {
+			tr.errs[i] = err
+			tr.validIdx[i] = -1
+		}
+	}
 	// Price every accelerator off the shared cost batch; the step times and
 	// bounds are copied out here because the batch aliases session buffers.
 	tr.steps = make([]float64, len(r.accs)*tr.nValid)
@@ -505,12 +517,20 @@ func (r *Runner) emitTask(t task, startSeq int, tr *taskResult, yield func(Point
 				p.Error = tr.errs[i].Error()
 			} else {
 				vi := tr.validIdx[i]
-				req := tr.reqs[vi]
-				p.Requirements = &req
-				p.StepSeconds = tr.steps[ai*tr.nValid+vi]
-				p.Utilization = acc.Utilization(req.FLOPsPerStep, p.StepSeconds)
-				p.ComputeBound = tr.bounds[ai*tr.nValid+vi] == costmodel.BoundCompute
-				p.FitsMemory = acc.Fits(req.FootprintBytes)
+				step := tr.steps[ai*tr.nValid+vi]
+				util := acc.Utilization(tr.reqs[vi].FLOPsPerStep, step)
+				if err := nonFiniteField("step_seconds", step); err != nil {
+					p.Error = err.Error()
+				} else if err := nonFiniteField("utilization", util); err != nil {
+					p.Error = err.Error()
+				} else {
+					req := tr.reqs[vi]
+					p.Requirements = &req
+					p.StepSeconds = step
+					p.Utilization = util
+					p.ComputeBound = tr.bounds[ai*tr.nValid+vi] == costmodel.BoundCompute
+					p.FitsMemory = acc.Fits(req.FootprintBytes)
+				}
 			}
 			if err := yield(p); err != nil {
 				return err
@@ -551,6 +571,36 @@ func (r *Runner) forEach(ctx context.Context, n int, fn func(i int)) {
 	}
 	close(next)
 	wg.Wait()
+}
+
+// nonFinite names the first value of r, in JSON field order, that is not
+// finite: a subbatch or model size large enough overflows float64, and
+// JSON has no encoding for the result.
+func nonFinite(r *core.Requirements) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"size", r.Size}, {"batch", r.Batch}, {"params", r.Params},
+		{"flops_per_step", r.FLOPsPerStep}, {"bytes_per_step", r.BytesPerStep},
+		{"flops_per_sample", r.FLOPsPerSample}, {"intensity", r.Intensity},
+		{"footprint_bytes", r.FootprintBytes}, {"persistent_bytes", r.PersistentBytes},
+		{"io_bytes", r.IOBytes}, {"fwd_flops", r.FwdFLOPs}, {"bwd_flops", r.BwdFLOPs},
+	} {
+		if err := nonFiniteField(f.name, f.v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// nonFiniteField reports v, the value of the named point field, if it is
+// not finite.
+func nonFiniteField(name string, v float64) error {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return fmt.Errorf("sweep: %s is %v: the point overflows float64", name, v)
+	}
+	return nil
 }
 
 func positiveFinite(v float64) bool {

@@ -366,6 +366,61 @@ func TestPerPointErrorsDoNotTruncateGrid(t *testing.T) {
 	}
 }
 
+// TestOverflowingPointsBecomeErrors: a subbatch of 1e300 overflows an
+// image point's FLOPs to +Inf, which JSON cannot encode. That row's points
+// must carry an error naming the field, and the grid must encode as NDJSON
+// and CSV with no non-finite value, while the healthy row streams as
+// usual. A step time that overflows on one accelerator fails that point
+// alone.
+func TestOverflowingPointsBecomeErrors(t *testing.T) {
+	tiny := hw.TargetAccelerator()
+	tiny.Name = "tiny-peak"
+	tiny.PeakFLOPS = 1e-300
+	r, err := New(sharedSource, Spec{
+		Domains:      []string{"image"},
+		Params:       []float64{1e8},
+		Subbatches:   []float64{32, 1e300},
+		Accelerators: []string{"v100"},
+		Custom:       []hw.Accelerator{tiny},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := collect(t, r)
+	if len(pts) != 4 {
+		t.Fatalf("yielded %d points, want 4", len(pts))
+	}
+	for _, p := range pts {
+		var want string
+		switch {
+		case p.Subbatch == 1e300:
+			want = "sweep: flops_per_step is +Inf: the point overflows float64"
+		case p.Accelerator == tiny.Name:
+			want = "sweep: step_seconds is +Inf: the point overflows float64"
+		}
+		if p.Error != want || (p.Requirements == nil) != (want != "") {
+			t.Fatalf("point %d (%s, subbatch %g): error %q, requirements %v; want error %q",
+				p.Seq, p.Accelerator, p.Subbatch, p.Error, p.Requirements, want)
+		}
+	}
+	var buf strings.Builder
+	enc := NewLineEncoder(&buf)
+	if err := enc.CSVHeader(); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pts {
+		if err := enc.NDJSON(p); err != nil {
+			t.Fatalf("point %d: %v", p.Seq, err)
+		}
+		if err := enc.CSVRecord(p); err != nil {
+			t.Fatalf("point %d: %v", p.Seq, err)
+		}
+	}
+	if out := buf.String(); strings.Contains(out, ",+Inf") || strings.Contains(out, "NaN") {
+		t.Fatalf("output holds a non-finite value:\n%s", out)
+	}
+}
+
 func TestRunCancellation(t *testing.T) {
 	r, err := New(sharedSource, Spec{
 		Params:     []float64{5e7, 1e8, 2e8, 4e8},
