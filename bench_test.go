@@ -13,10 +13,12 @@ import (
 	cat "catamount"
 	"catamount/internal/cache"
 	"catamount/internal/core"
+	"catamount/internal/costmodel"
 	"catamount/internal/graph"
 	"catamount/internal/hw"
 	"catamount/internal/models"
 	"catamount/internal/parallel"
+	"catamount/internal/scaling"
 	"catamount/internal/symbolic"
 	"catamount/internal/tensor"
 )
@@ -235,22 +237,37 @@ func BenchmarkFigure12DataParallel(b *testing.B) {
 // Engine-vs-seed evaluation path
 
 // seedTables reproduces the seed code path for Tables 2 and 3: every domain
-// model is rebuilt (and recompiled) from scratch on each call, exactly as
+// model is rebuilt (and recompiled) from scratch for each table, exactly as
 // the pre-Engine package-level functions did.
-func seedTables(b *testing.B, acc hw.Accelerator) {
-	b.Helper()
-	for _, d := range models.AllDomains {
+func seedTables(tb testing.TB, acc hw.Accelerator) {
+	tb.Helper()
+	compile := func(d models.Domain) *core.Analyzer {
 		m, err := models.Build(d)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if _, err := core.FitAsymptotics(m, core.AsymptoticFitTargets(d),
-			[]float64{16, 64, 256}, m.DefaultBatch, graph.PolicyMemGreedy); err != nil {
-			b.Fatal(err)
+		a, err := core.NewAnalyzer(m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return a
+	}
+	for _, d := range models.AllDomains {
+		a := compile(d)
+		if _, err := a.FitAsymptotics(core.AsymptoticFitTargets(d),
+			[]float64{16, 64, 256}, a.Model.DefaultBatch, graph.PolicyMemGreedy); err != nil {
+			tb.Fatal(err)
 		}
 	}
-	if _, err := core.ProjectAllFrontiers(acc, graph.PolicyMemGreedy); err != nil {
-		b.Fatal(err)
+	projs, err := scaling.ProjectAll()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, proj := range projs {
+		if _, err := compile(proj.Spec.Domain).ProjectFrontierWith(proj, acc, costmodel.Default(),
+			graph.PolicyMemGreedy); err != nil {
+			tb.Fatal(err)
+		}
 	}
 }
 
@@ -315,19 +332,7 @@ func TestEngineTablesSpeedup(t *testing.T) {
 	}
 
 	seedStart := time.Now()
-	for _, d := range models.AllDomains {
-		m, err := models.Build(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := core.FitAsymptotics(m, core.AsymptoticFitTargets(d),
-			[]float64{16, 64, 256}, m.DefaultBatch, graph.PolicyMemGreedy); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := core.ProjectAllFrontiers(acc, graph.PolicyMemGreedy); err != nil {
-		t.Fatal(err)
-	}
+	seedTables(t, acc)
 	seedElapsed := time.Since(seedStart)
 
 	t.Logf("engine %v vs seed %v (%.1fx)", engElapsed, seedElapsed,
@@ -365,27 +370,21 @@ func BenchmarkAblationCacheAwareVsRoofline(b *testing.B) {
 
 // BenchmarkAblationSubbatchPolicies compares the three §5.2.1 policies.
 func BenchmarkAblationSubbatchPolicies(b *testing.B) {
-	m := models.MustBuild(models.WordLM)
-	size, err := m.SizeForParams(23.8e9)
-	if err != nil {
+	eng := cat.NewEngine()
+	acc := hw.TargetAccelerator()
+	policies := []hw.SubbatchPolicy{hw.MinTimePerSample, hw.RidgePointMatch, hw.IntensitySaturation}
+	if _, err := eng.Analyzer(cat.WordLM); err != nil { // build + compile once
 		b.Fatal(err)
 	}
-	acc := hw.TargetAccelerator()
 	chosen := map[hw.SubbatchPolicy]float64{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pts, err := hw.SubbatchSweep(core.StepEvalAt(m, size), acc, hw.PowersOfTwo(18))
+		sel, err := eng.SubbatchSelectWith(cat.WordLM, 23.8e9, acc, nil, policies, 0.05)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, pol := range []hw.SubbatchPolicy{
-			hw.MinTimePerSample, hw.RidgePointMatch, hw.IntensitySaturation,
-		} {
-			pt, err := hw.ChooseSubbatch(pts, acc, pol, 0.05)
-			if err != nil {
-				b.Fatal(err)
-			}
-			chosen[pol] = pt.Subbatch
+		for _, pol := range policies {
+			chosen[pol] = sel.Chosen[pol.String()].Subbatch
 		}
 	}
 	b.ReportMetric(chosen[hw.MinTimePerSample], "min-time-subbatch")

@@ -129,14 +129,17 @@ func sessionAt(m *Model, paramCount float64) (*core.Analyzer, float64, error) {
 }
 
 // AnalyzeModel characterizes an already-built (possibly custom-configured)
-// model at a parameter count. The model is compiled on every call; prefer
-// Engine.Analyze for repeated queries on default domain models.
+// model at a parameter count, as Engine.Analyze does. The model is compiled
+// on every call; prefer Engine.Analyze for repeated queries on default
+// domain models.
 func AnalyzeModel(m *Model, paramCount, subbatch float64) (Requirements, error) {
 	a, size, err := sessionAt(m, paramCount)
 	if err != nil {
 		return Requirements{}, err
 	}
-	return a.Characterize(context.Background(), size, subbatch, graph.PolicyMemGreedy)
+	req, _, err := a.Point(context.Background(), size, subbatch, graph.PolicyMemGreedy,
+		hw.TargetAccelerator(), costmodel.Default())
+	return req, err
 }
 
 // AccuracyProjections computes Table 1: the data and model growth required

@@ -3,6 +3,7 @@ package catamount_test
 import (
 	"bytes"
 	"math"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -423,6 +424,21 @@ func TestPrintRequirementsReport(t *testing.T) {
 	for _, want := range []string{"Parameters", "Operational intensity", "footprint"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("report missing %q", want)
+		}
+	}
+	// The subbatch prints with %g: integral values below 1e6 as before,
+	// fractions in full, and a huge subbatch in exponent form rather than
+	// as hundreds of digits.
+	line := regexp.MustCompile(`(?m)^Subbatch +(\S+)$`)
+	for _, c := range []struct {
+		batch float64
+		want  string
+	}{{32, "32"}, {524288, "524288"}, {32.5, "32.5"}, {1e300, "1e+300"}} {
+		r.Batch = c.batch
+		buf.Reset()
+		cat.PrintRequirements(&buf, r)
+		if m := line.FindStringSubmatch(buf.String()); m == nil || m[1] != c.want {
+			t.Fatalf("subbatch %g: line %q, want %q", c.batch, m, c.want)
 		}
 	}
 }

@@ -145,7 +145,7 @@ func printTable(res *cat.PlanResult, all bool) {
 		tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintln(tw, "Accelerator\tStrategy\tWorkers\tSubbatch\tStep (s)\tTrain\tCost\tEnergy\tUtil\tMem/dev")
 		for _, p := range res.Frontier {
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%.0f\t%.3g\t%s\t%s\t%.3g MWh\t%.1f%%\t%.0f GB\n",
+			fmt.Fprintf(tw, "%s\t%s\t%d\t%g\t%.3g\t%s\t%s\t%.3g MWh\t%.1f%%\t%.0f GB\n",
 				p.Accelerator, p.Strategy, p.Workers, p.Subbatch, p.StepSeconds,
 				fmtHours(p.TrainHours), fmtCost(p.CostUSD), p.EnergyKWh/1000,
 				100*p.Utilization, p.MemPerDeviceGB)
@@ -165,7 +165,7 @@ func printTable(res *cat.PlanResult, all bool) {
 			case !p.Feasible:
 				status = strings.Join(p.Infeasible, "; ")
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%.0f\t%s\t%s\t%s\n",
+			fmt.Fprintf(tw, "%s\t%s\t%d\t%g\t%s\t%s\t%s\n",
 				p.Accelerator, p.Strategy, p.Workers, p.Subbatch,
 				fmtHours(p.TrainHours), fmtCost(p.CostUSD), status)
 		}

@@ -200,11 +200,11 @@ func emitter(format string) (func(cat.SweepPoint) error, func()) {
 		fmt.Fprintln(tw, "Domain\tAccelerator\tParams\tSubbatch\tTFLOPs/step\tTB/step\tIntensity\tFootprint GB\tStep (s)\tUtil\tFits")
 		return func(p cat.SweepPoint) error {
 				if p.Error != "" {
-					fmt.Fprintf(tw, "%s\t%s\t%.3g\t%.0f\terror: %s\n",
+					fmt.Fprintf(tw, "%s\t%s\t%.3g\t%g\terror: %s\n",
 						p.Domain, p.Accelerator, p.ParamTarget, p.Subbatch, p.Error)
 					return nil
 				}
-				fmt.Fprintf(tw, "%s\t%s\t%.3g\t%.0f\t%.1f\t%.2f\t%.1f\t%.1f\t%.3g\t%.1f%%\t%v\n",
+				fmt.Fprintf(tw, "%s\t%s\t%.3g\t%g\t%.1f\t%.2f\t%.1f\t%.1f\t%.3g\t%.1f%%\t%v\n",
 					p.Domain, p.Accelerator, p.Params, p.Subbatch,
 					p.FLOPsPerStep/1e12, p.BytesPerStep/1e12, p.Intensity,
 					p.FootprintBytes/1e9, p.StepSeconds, 100*p.Utilization, p.FitsMemory)

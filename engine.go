@@ -158,31 +158,27 @@ func (e *Engine) sessionAt(d Domain, paramCount float64) (*core.Analyzer, float6
 	return a, size, nil
 }
 
-// Analyze characterizes a domain at a target parameter count and subbatch.
+// Analyze characterizes a domain at a target parameter count and subbatch:
+// AnalyzeOn on the paper's Table 4 device under the default cost model,
+// without the estimate.
 func (e *Engine) Analyze(d Domain, paramCount, subbatch float64) (Requirements, error) {
-	a, size, err := e.sessionAt(d, paramCount)
-	if err != nil {
-		return Requirements{}, err
-	}
-	return a.Characterize(context.Background(), size, subbatch, graph.PolicyMemGreedy)
+	req, _, err := e.AnalyzeOn(context.Background(), d, paramCount, subbatch, hw.TargetAccelerator(), nil)
+	return req, err
 }
 
 // RooflineEstimate is one step-time backend's view of a characterization:
 // the projected step seconds on a device, the achieved utilization, and
 // which resource binds — labeled with the backend that produced it.
-type RooflineEstimate struct {
-	CostModel    string  `json:"costmodel"`
-	StepSeconds  float64 `json:"step_seconds"`
-	Utilization  float64 `json:"utilization"`
-	ComputeBound bool    `json:"compute_bound"`
-}
+type RooflineEstimate = core.RooflineEstimate
 
 // AnalyzeOn characterizes a domain at a target parameter count and
 // subbatch, and projects the step time on a validated accelerator under
 // the given cost-model backend (nil means the default graph-level
 // Roofline). This is the shared path behind cmd/catamount and the
 // catamountd /v1/analyze endpoint; ctx carries the caller's request trace
-// into the characterization stage spans.
+// into the characterization stage spans. The point is a one-row batch on
+// the path every sweep row takes, so a point whose values overflow float64
+// is an error naming the first such field.
 func (e *Engine) AnalyzeOn(ctx context.Context, d Domain, paramCount, subbatch float64,
 	acc Accelerator, cm costmodel.Model) (Requirements, RooflineEstimate, error) {
 
@@ -196,18 +192,7 @@ func (e *Engine) AnalyzeOn(ctx context.Context, d Domain, paramCount, subbatch f
 	if err != nil {
 		return Requirements{}, RooflineEstimate{}, err
 	}
-	req, err := a.Characterize(ctx, size, subbatch, graph.PolicyMemGreedy)
-	if err != nil {
-		return req, RooflineEstimate{}, err
-	}
-	costs := a.StepCosts(size, subbatch, costmodel.NeedsOpCosts(cm))
-	step := cm.StepTime(acc, costs)
-	return req, RooflineEstimate{
-		CostModel:    cm.Name(),
-		StepSeconds:  step,
-		Utilization:  acc.Utilization(req.FLOPsPerStep, step),
-		ComputeBound: cm.Bound(acc, costs) == costmodel.BoundCompute,
-	}, nil
+	return a.Point(ctx, size, subbatch, graph.PolicyMemGreedy, acc, cm)
 }
 
 // Profile computes the per-op-kind and per-group cost breakdown of a
@@ -403,11 +388,7 @@ func (e *Engine) SubbatchSelectWith(d Domain, params float64, acc Accelerator,
 	if err != nil {
 		return nil, err
 	}
-	eval := a.StepCostEval(size, costmodel.NeedsOpCosts(cm))
-	pts, err := costmodel.SubbatchSweep(eval, acc, cm, hw.PowersOfTwo(18))
-	if err != nil {
-		return nil, err
-	}
+	pts := a.SubbatchSweep(size, hw.PowersOfTwo(18), acc, cm)
 	sel := &SubbatchSelection{
 		Domain:     d,
 		Params:     params,

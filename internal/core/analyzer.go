@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -38,8 +39,8 @@ var (
 // across a bounded worker pool.
 type Analyzer struct {
 	// sessions recycles evaluation scratchpads (GetSession/PutSession)
-	// across every caller of this model: grid sweeps, parallel fan-outs and
-	// scalar Characterize.
+	// across every caller of this model: grid sweeps, parallel fan-outs,
+	// point queries and subbatch sweeps.
 	sessions sync.Pool
 
 	Model *models.Model
@@ -52,12 +53,9 @@ type Analyzer struct {
 	// FLOPs, bytes, IO) come straight from Compiled.
 	fwdFLOPs, bwdFLOPs *symbolic.Program
 
-	// opKinds caches each node's op kind in Nodes() order, so building a
-	// per-op cost vector never re-walks the graph. distinctOps holds one
-	// entry per distinct (efficiency class, FLOP program, byte program)
-	// triple, and nodeOp each node's index into it, so batched per-op
-	// pricing runs once per distinct op.
-	opKinds     []string
+	// distinctOps holds one entry per distinct (efficiency class, FLOP
+	// program, byte program) triple, and nodeOp each node's index into it,
+	// so batched per-op pricing runs once per distinct op.
 	distinctOps []costmodel.DistinctOp
 	nodeOp      []int32
 }
@@ -84,12 +82,10 @@ func NewAnalyzer(m *models.Model) (*Analyzer, error) {
 	a.bwdFLOPs = symbolic.Compile(bwd, c.Syms)
 	nodes := m.Graph.Nodes()
 	flopIx, byteIx := c.CostIndexes()
-	a.opKinds = make([]string, len(nodes))
 	a.nodeOp = make([]int32, len(nodes))
 	distinct := make(map[costmodel.DistinctOp]int32)
 	for i, n := range nodes {
-		a.opKinds[i] = n.Op.Kind()
-		op := costmodel.DistinctOp{Class: costmodel.ClassFor(a.opKinds[i]), FLOPIx: flopIx[i], ByteIx: byteIx[i]}
+		op := costmodel.DistinctOp{Class: costmodel.ClassFor(n.Op.Kind()), FLOPIx: flopIx[i], ByteIx: byteIx[i]}
 		k, ok := distinct[op]
 		if !ok {
 			k = int32(len(a.distinctOps))
@@ -126,57 +122,53 @@ func (a *Analyzer) SizeForParams(target float64) (float64, error) {
 	return size, nil
 }
 
-// Characterize evaluates one (size, batch) point, including the footprint
-// traversal, entirely through compiled programs. ctx threads the caller's
-// trace (if any) into the stage spans; pass context.Background() outside a
-// request.
-func (a *Analyzer) Characterize(ctx context.Context, size, batch float64, policy graph.SchedulePolicy) (Requirements, error) {
-	s := a.GetSession()
-	defer a.PutSession(s)
-	slots := s.slots
+// Point characterizes one (size, batch) point, footprint included, and
+// prices its step on acc under cm: a one-row CharacterizeBatch and
+// StepTimesBatch on a pooled session, the path every sweep row takes. A
+// point whose requirements, step time or utilization overflow float64 is an
+// error naming the first such field, as in a sweep. ctx threads the
+// caller's trace (if any) into the stage spans; pass context.Background()
+// outside a request.
+func (a *Analyzer) Point(ctx context.Context, size, batch float64, policy graph.SchedulePolicy,
+	acc hw.Accelerator, cm costmodel.Model) (Requirements, RooflineEstimate, error) {
+
 	sp := obs.StartSpan(ctx, "characterize", stageCharacterize)
 	ctx = sp.Attach(ctx)
 	defer sp.End()
-	a.bind(slots, size, batch)
-	r := Requirements{
-		Domain: a.Model.Domain,
-		Name:   a.Model.Name,
-		Size:   size,
-		Batch:  batch,
-
-		Params:       a.Compiled.ParamCount.Eval(slots),
-		FLOPsPerStep: a.Compiled.TotalFLOPs.Eval(slots),
-		BytesPerStep: a.Compiled.TotalBytes.Eval(slots),
-		IOBytes:      a.Compiled.IO.Eval(slots),
-		FwdFLOPs:     a.fwdFLOPs.Eval(slots),
-		BwdFLOPs:     a.bwdFLOPs.Eval(slots),
-	}
-	r.FLOPsPerSample = r.FLOPsPerStep / batch
-	if r.BytesPerStep > 0 {
-		r.Intensity = r.FLOPsPerStep / r.BytesPerStep
-	}
-	fsp := obs.StartSpan(ctx, "footprint", stageFootprint)
-	res, err := a.Compiled.FootprintInto(slots, policy, &s.fp)
-	fsp.End()
+	s := a.GetSession()
+	defer a.PutSession(s)
+	reqs, costs, err := s.CharacterizeBatch(ctx, []float64{size}, []float64{batch}, policy,
+		costmodel.NeedsOpCosts(cm), nil)
 	if err != nil {
-		return r, err
+		return Requirements{}, RooflineEstimate{}, err
 	}
-	r.FootprintBytes = res.PeakBytes
-	r.PersistentBytes = res.PersistentBytes
-	return r, nil
+	r := reqs[0]
+	bound := make([]costmodel.Bound, 1)
+	step := cm.StepTimesBatch(acc, costs, nil, bound)[0]
+	est := RooflineEstimate{
+		CostModel:    cm.Name(),
+		StepSeconds:  step,
+		Utilization:  acc.Utilization(r.FLOPsPerStep, step),
+		ComputeBound: bound[0] == costmodel.BoundCompute,
+	}
+	if err := cmp.Or(NonFinite(&r), NonFiniteField("step_seconds", est.StepSeconds),
+		NonFiniteField("utilization", est.Utilization)); err != nil {
+		return Requirements{}, RooflineEstimate{}, fmt.Errorf("core: %w", err)
+	}
+	return r, est, nil
 }
 
-// Session is a single-goroutine evaluation scratchpad over an Analyzer: one
-// slot buffer, footprint scratch, and the batched-evaluation buffers,
-// reused across any number of points so a tight evaluation loop (grid
-// sweeps, serving workers) allocates nothing per point. Not safe for
+// Session is a single-goroutine evaluation scratchpad over an Analyzer: a
+// slot buffer for size solves, footprint scratch, and the batched-evaluation
+// buffers, reused across any number of points so a tight evaluation loop
+// (grid sweeps, serving workers) allocates nothing per point. Not safe for
 // concurrent use; each worker holds its own, taken from the Analyzer's pool.
 type Session struct {
 	a     *Analyzer
 	slots []float64
 	fp    graph.FootprintScratch
 
-	// Batched-path state, allocated lazily on first CharacterizeBatch.
+	// Batched-path state, allocated lazily on first CostsBatch.
 	batch *symbolic.Batch
 	eval  symbolic.BatchScratch
 	vals  struct {
@@ -202,12 +194,47 @@ func (a *Analyzer) GetSession() *Session {
 // PutSession returns a scratchpad taken with GetSession to the pool.
 func (a *Analyzer) PutSession(s *Session) { a.sessions.Put(s) }
 
+// CostsBatch binds a batch of (size, batch) points, sizes and batches of
+// equal length, and evaluates each row's step cost vector: the graph FLOP
+// and byte totals and, when withOps is set, the unique node-cost programs
+// behind the per-op breakdown. It runs no footprint simulation, so a
+// subbatch sweep pays only for the costs it prices. The returned
+// CostsBatch aliases session buffers and is valid until the next call on
+// this session.
+func (s *Session) CostsBatch(sizes, batches []float64, withOps bool) *costmodel.CostsBatch {
+	a := s.a
+	rows := len(sizes)
+	if s.batch == nil {
+		s.batch = a.Compiled.NewBatch(rows)
+	} else {
+		s.batch.Resize(rows)
+	}
+	copy(s.batch.Col(a.sizeSlot), sizes)
+	copy(s.batch.Col(a.batchSlot), batches)
+
+	v := &s.vals
+	v.flops = a.Compiled.TotalFLOPs.EvalBatchInto(s.batch, v.flops, &s.eval)
+	v.bytes = a.Compiled.TotalBytes.EvalBatchInto(s.batch, v.bytes, &s.eval)
+	s.costs = costmodel.CostsBatch{Rows: rows, FLOPs: v.flops, Bytes: v.bytes}
+	if withOps {
+		v.nodeUniq = a.Compiled.NodeCostsBatch(s.batch, v.nodeUniq, &s.eval)
+		s.ops = costmodel.OpsBatch{
+			Rows:     rows,
+			Distinct: a.distinctOps,
+			NodeOp:   a.nodeOp,
+			Uniq:     v.nodeUniq,
+		}
+		s.costs.Ops = &s.ops
+	}
+	return &s.costs
+}
+
 // CharacterizeBatch evaluates a whole batch of (size, batch) points in one
-// structure-of-arrays pass: every compiled total runs once over all rows,
-// the unique tensor-byte programs feed per-row footprint simulations, and —
-// when withOps is set — the unique node-cost programs fill a shared per-op
-// matrix for batched step-time backends. Row i of the returned slice is
-// bit-for-bit identical to Analyzer.Characterize(sizes[i], batches[i], policy).
+// structure-of-arrays pass: CostsBatch binds the rows and evaluates their
+// cost vectors, every other compiled total runs once over all rows, and the
+// unique tensor-byte programs feed per-row footprint simulations. Each row
+// is bit-for-bit what evaluating its point alone, as a one-row batch or
+// through the scalar programs, gives.
 //
 // reqs is grown as needed and returned. The returned CostsBatch aliases
 // session buffers and is valid until the next call on this session.
@@ -230,18 +257,9 @@ func (s *Session) CharacterizeBatch(ctx context.Context, sizes, batches []float6
 	}
 	reqs = reqs[:rows]
 
-	if s.batch == nil {
-		s.batch = a.Compiled.NewBatch(rows)
-	} else {
-		s.batch.Resize(rows)
-	}
-	copy(s.batch.Col(a.sizeSlot), sizes)
-	copy(s.batch.Col(a.batchSlot), batches)
-
+	costs := s.CostsBatch(sizes, batches, withOps)
 	v := &s.vals
 	v.params = a.Compiled.ParamCount.EvalBatchInto(s.batch, v.params, &s.eval)
-	v.flops = a.Compiled.TotalFLOPs.EvalBatchInto(s.batch, v.flops, &s.eval)
-	v.bytes = a.Compiled.TotalBytes.EvalBatchInto(s.batch, v.bytes, &s.eval)
 	v.io = a.Compiled.IO.EvalBatchInto(s.batch, v.io, &s.eval)
 	v.fwd = a.fwdFLOPs.EvalBatchInto(s.batch, v.fwd, &s.eval)
 	v.bwd = a.bwdFLOPs.EvalBatchInto(s.batch, v.bwd, &s.eval)
@@ -276,19 +294,7 @@ func (s *Session) CharacterizeBatch(ctx context.Context, sizes, batches []float6
 		reqs[r] = req
 	}
 	fsp.End()
-
-	s.costs = costmodel.CostsBatch{Rows: rows, FLOPs: v.flops, Bytes: v.bytes}
-	if withOps {
-		v.nodeUniq = a.Compiled.NodeCostsBatch(s.batch, v.nodeUniq, &s.eval)
-		s.ops = costmodel.OpsBatch{
-			Rows:     rows,
-			Distinct: a.distinctOps,
-			NodeOp:   a.nodeOp,
-			Uniq:     v.nodeUniq,
-		}
-		s.costs.Ops = &s.ops
-	}
-	return reqs, &s.costs, nil
+	return reqs, costs, nil
 }
 
 // SweepParams characterizes the model at a list of target parameter counts
@@ -516,87 +522,24 @@ func (a *Analyzer) FitAsymptotics(paramTargets, batches []float64,
 	return asym, nil
 }
 
-// StepEval builds an hw.StepEval closure at a fixed size over the compiled
-// programs. The footprint traversal is skipped during sweeps (reported as 0)
-// because only the chosen point needs it. The closure reuses one slot
-// buffer and is not safe for concurrent calls.
-func (a *Analyzer) StepEval(size float64) hw.StepEval {
-	slots := a.newSlots()
-	return func(b float64) (float64, float64, float64, error) {
-		a.bind(slots, size, b)
-		return a.Compiled.TotalFLOPs.Eval(slots), a.Compiled.TotalBytes.Eval(slots), 0, nil
+// SubbatchSweep prices the step at one size across subbatch sizes
+// (Figure 11's x axis) on acc under cm, in one cost-only batched pass on a
+// pooled session. It simulates no footprint: only the chosen point needs
+// one, so FootprintBytes reads 0.
+func (a *Analyzer) SubbatchSweep(size float64, subbatches []float64, acc hw.Accelerator,
+	cm costmodel.Model) []hw.SubbatchPoint {
+
+	s := a.GetSession()
+	defer a.PutSession(s)
+	sizes := make([]float64, len(subbatches))
+	for i := range sizes {
+		sizes[i] = size
 	}
+	costs := s.CostsBatch(sizes, subbatches, costmodel.NeedsOpCosts(cm))
+	return costmodel.SubbatchSweep(costs, subbatches, acc, cm)
 }
 
-// costsAt evaluates the step's cost vector under the current slot binding.
-// When full is true the per-node costs are filled into ops (grown as
-// needed, returned for reuse) by evaluating the unique node-cost programs
-// once into uniq and gathering by index; otherwise only the graph totals
-// are filled and the buffers pass through untouched.
-func (a *Analyzer) costsAt(slots []float64, ops []costmodel.OpCost, uniq []float64,
-	full bool) (costmodel.Costs, []costmodel.OpCost, []float64) {
-
-	c := costmodel.Costs{
-		FLOPs: a.Compiled.TotalFLOPs.Eval(slots),
-		Bytes: a.Compiled.TotalBytes.Eval(slots),
-	}
-	if !full {
-		return c, ops, uniq
-	}
-	uniq = a.Compiled.CostValues(slots, uniq)
-	flopIx, byteIx := a.Compiled.CostIndexes()
-	n := len(flopIx)
-	if cap(ops) < n {
-		ops = make([]costmodel.OpCost, n)
-	}
-	ops = ops[:n]
-	for i := range ops {
-		ops[i] = costmodel.OpCost{
-			Kind:  a.opKinds[i],
-			FLOPs: uniq[flopIx[i]],
-			Bytes: uniq[byteIx[i]],
-		}
-	}
-	c.Ops = ops
-	return c, ops, uniq
-}
-
-// StepCosts evaluates the cost vector at one (size, batch) point. The
-// per-node breakdown is evaluated only when full is true — graph-level
-// backends never pay for it. The returned Costs owns its Ops slice and may
-// be retained.
-func (a *Analyzer) StepCosts(size, batch float64, full bool) costmodel.Costs {
-	slots := a.newSlots()
-	a.bind(slots, size, batch)
-	c, _, _ := a.costsAt(slots, nil, nil, full)
-	return c
-}
-
-// StepCostEval builds a costmodel.StepEval closure at a fixed size: the
-// cost-vector generalization of StepEval for pluggable step-time backends.
-// The closure reuses one slot buffer and one Ops buffer, so each returned
-// Costs is valid only until the next call; it is not safe for concurrent
-// use.
-func (a *Analyzer) StepCostEval(size float64, full bool) costmodel.StepEval {
-	slots := a.newSlots()
-	var ops []costmodel.OpCost
-	var uniq []float64
-	return func(b float64) (costmodel.Costs, float64, error) {
-		a.bind(slots, size, b)
-		var c costmodel.Costs
-		c, ops, uniq = a.costsAt(slots, ops, uniq, full)
-		return c, 0, nil
-	}
-}
-
-// ProjectFrontier computes one Table 3 row through the compiled session
-// with the default (graph-level Roofline) step-time backend.
-func (a *Analyzer) ProjectFrontier(proj scaling.Projection, acc hw.Accelerator,
-	policy graph.SchedulePolicy) (Frontier, error) {
-	return a.ProjectFrontierWith(proj, acc, costmodel.Default(), policy)
-}
-
-// ProjectFrontierWith is ProjectFrontier under a pluggable step-time
+// ProjectFrontierWith computes one Table 3 row under a pluggable step-time
 // backend: the §5.2.1 subbatch choice and the projected step time both
 // route through the backend, so a per-op model shifts the whole row, not
 // just the final column. The default backend reproduces the legacy output
@@ -615,11 +558,7 @@ func (a *Analyzer) ProjectFrontierWith(proj scaling.Projection, acc hw.Accelerat
 	}
 	f.Size = size
 
-	full := costmodel.NeedsOpCosts(cm)
-	sweep, err := costmodel.SubbatchSweep(a.StepCostEval(size, full), acc, cm, hw.PowersOfTwo(10))
-	if err != nil {
-		return f, err
-	}
+	sweep := a.SubbatchSweep(size, hw.PowersOfTwo(10), acc, cm)
 	chosen, err := hw.ChooseSubbatch(sweep, acc, hw.MinTimePerSample, 0.05)
 	if err != nil {
 		return f, err
@@ -629,15 +568,15 @@ func (a *Analyzer) ProjectFrontierWith(proj scaling.Projection, acc hw.Accelerat
 	// reflects kernel-occupancy needs the Roofline cannot see.
 	f.Subbatch = math.Max(chosen.Subbatch, a.Model.DefaultBatch)
 
-	r, err := a.Characterize(context.Background(), size, f.Subbatch, policy)
+	r, est, err := a.Point(context.Background(), size, f.Subbatch, policy, acc, cm)
 	if err != nil {
 		return f, err
 	}
 	f.TFLOPsPerStep = r.FLOPsPerStep / 1e12
 	f.TBPerStep = r.BytesPerStep / 1e12
 	f.FootprintGB = r.FootprintBytes / 1e9
-	f.StepSeconds = cm.StepTime(acc, a.StepCosts(size, f.Subbatch, full))
-	f.Utilization = acc.Utilization(r.FLOPsPerStep, f.StepSeconds)
+	f.StepSeconds = est.StepSeconds
+	f.Utilization = est.Utilization
 	f.MemoryMultiple = r.FootprintBytes / acc.MemCapacity
 
 	samplesPerStep := f.Subbatch * proj.Spec.TokensPerSample
@@ -646,32 +585,23 @@ func (a *Analyzer) ProjectFrontierWith(proj scaling.Projection, acc hw.Accelerat
 	return f, nil
 }
 
-// FootprintSweep runs the Figure 10 sweep with a 12 GB / 80% allocator cap,
-// fanning the points across the worker pool.
+// FootprintSweep runs the Figure 10 sweep, SweepParams' points seen through
+// a 12 GB / 80% allocator cap matching the paper's profiling GPUs.
 func (a *Analyzer) FootprintSweep(paramTargets []float64, batch float64,
 	policy graph.SchedulePolicy) ([]FootprintPoint, error) {
 
-	sim := graph.AllocatorSim{CapacityBytes: 12e9, UsableFraction: 0.8}
-	out := make([]FootprintPoint, len(paramTargets))
-	err := a.parallelPoints(len(paramTargets), func(i int, s *Session) error {
-		size, err := a.sizeForParamsWith(s.slots, paramTargets[i])
-		if err != nil {
-			return err
-		}
-		a.bind(s.slots, size, batch)
-		res, err := a.Compiled.FootprintInto(s.slots, policy, &s.fp)
-		if err != nil {
-			return err
-		}
-		out[i] = FootprintPoint{
-			Params:          a.Compiled.ParamCount.Eval(s.slots),
-			FootprintBytes:  res.PeakBytes,
-			AllocatorReport: sim.Apply(res.PeakBytes),
-		}
-		return nil
-	})
+	reqs, err := a.SweepParams(paramTargets, batch, policy)
 	if err != nil {
 		return nil, err
+	}
+	sim := graph.AllocatorSim{CapacityBytes: 12e9, UsableFraction: 0.8}
+	out := make([]FootprintPoint, len(reqs))
+	for i, r := range reqs {
+		out[i] = FootprintPoint{
+			Params:          r.Params,
+			FootprintBytes:  r.FootprintBytes,
+			AllocatorReport: sim.Apply(r.FootprintBytes),
+		}
 	}
 	return out, nil
 }

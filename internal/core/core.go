@@ -11,12 +11,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 
 	"catamount/internal/graph"
-	"catamount/internal/hw"
 	"catamount/internal/models"
 	"catamount/internal/scaling"
 )
@@ -51,29 +49,45 @@ type Requirements struct {
 	BwdFLOPs float64 `json:"bwd_flops"`
 }
 
-// Characterize evaluates one (size, batch) point, including the footprint
-// traversal. It compiles the model on every call; callers evaluating many
-// points should build one Analyzer (or use the top-level Engine) so the
-// model is compiled exactly once.
-func Characterize(m *models.Model, size, batch float64, policy graph.SchedulePolicy) (Requirements, error) {
-	a, err := NewAnalyzer(m)
-	if err != nil {
-		return Requirements{Domain: m.Domain, Name: m.Name, Size: size, Batch: batch}, err
+// NonFinite names the first value of r, in JSON field order, that is not
+// finite: a subbatch or model size large enough overflows float64, and
+// JSON has no encoding for the result. Every path that emits a point
+// applies it; callers prefix the error with their package name.
+func NonFinite(r *Requirements) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"size", r.Size}, {"batch", r.Batch}, {"params", r.Params},
+		{"flops_per_step", r.FLOPsPerStep}, {"bytes_per_step", r.BytesPerStep},
+		{"flops_per_sample", r.FLOPsPerSample}, {"intensity", r.Intensity},
+		{"footprint_bytes", r.FootprintBytes}, {"persistent_bytes", r.PersistentBytes},
+		{"io_bytes", r.IOBytes}, {"fwd_flops", r.FwdFLOPs}, {"bwd_flops", r.BwdFLOPs},
+	} {
+		if err := NonFiniteField(f.name, f.v); err != nil {
+			return err
+		}
 	}
-	return a.Characterize(context.Background(), size, batch, policy)
+	return nil
 }
 
-// SweepParams characterizes the model at a list of target parameter counts
-// with a fixed subbatch — the x-axis sweep behind Figures 7–10. The model is
-// compiled once and the points fan out across a bounded worker pool.
-func SweepParams(m *models.Model, paramTargets []float64, batch float64,
-	policy graph.SchedulePolicy) ([]Requirements, error) {
-
-	a, err := NewAnalyzer(m)
-	if err != nil {
-		return nil, err
+// NonFiniteField reports v, the value of the named field, if it is not
+// finite.
+func NonFiniteField(name string, v float64) error {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return fmt.Errorf("%s is %v: the point overflows float64", name, v)
 	}
-	return a.SweepParams(paramTargets, batch, policy)
+	return nil
+}
+
+// RooflineEstimate is one step-time backend's view of a characterization:
+// the projected step seconds on a device, the achieved utilization, and
+// which resource binds — labeled with the backend that produced it.
+type RooflineEstimate struct {
+	CostModel    string  `json:"costmodel"`
+	StepSeconds  float64 `json:"step_seconds"`
+	Utilization  float64 `json:"utilization"`
+	ComputeBound bool    `json:"compute_bound"`
 }
 
 // DefaultSweepTargets returns the paper's Figure 7–10 x-range for a domain
@@ -154,20 +168,6 @@ func (a Asymptotics) IntensityForm() string {
 	return fmt.Sprintf("b*sqrt(p)/(%.2f*sqrt(p) + %.1f*b)", a.IntensityX, a.IntensityY)
 }
 
-// FitAsymptotics fits the Table 2 first-order models from sweeps. The γ fit
-// uses per-sample FLOPs at the largest sizes; the (λ, µ) fit uses a
-// size × batch grid; δ uses the footprint slope at footBatch. The model is
-// compiled once; see Analyzer.FitAsymptotics.
-func FitAsymptotics(m *models.Model, paramTargets, batches []float64,
-	footBatch float64, policy graph.SchedulePolicy) (Asymptotics, error) {
-
-	a, err := NewAnalyzer(m)
-	if err != nil {
-		return Asymptotics{Domain: m.Domain}, err
-	}
-	return a.FitAsymptotics(paramTargets, batches, footBatch, policy)
-}
-
 // ---------------------------------------------------------------------------
 // Table 3: frontier projections
 
@@ -197,67 +197,11 @@ type Frontier struct {
 	MemoryMultiple float64 `json:"memory_multiple"`
 }
 
-// StepEvalAt builds an hw.StepEval closure for a model at a fixed size. The
-// footprint traversal is skipped during sweeps (reported as 0) because only
-// the chosen point needs it.
-func StepEvalAt(m *models.Model, size float64) hw.StepEval {
-	a, err := NewAnalyzer(m)
-	if err != nil {
-		return func(float64) (float64, float64, float64, error) { return 0, 0, 0, err }
-	}
-	return a.StepEval(size)
-}
-
-// ProjectFrontier computes one Table 3 row.
-func ProjectFrontier(m *models.Model, proj scaling.Projection, acc hw.Accelerator,
-	policy graph.SchedulePolicy) (Frontier, error) {
-
-	a, err := NewAnalyzer(m)
-	if err != nil {
-		return Frontier{Spec: proj.Spec}, err
-	}
-	return a.ProjectFrontier(proj, acc, policy)
-}
-
-// ProjectAllFrontiers builds every Table 3 row in domain order, building and
-// compiling each domain model once.
-func ProjectAllFrontiers(acc hw.Accelerator, policy graph.SchedulePolicy) ([]Frontier, error) {
-	projs, err := scaling.ProjectAll()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Frontier, 0, len(projs))
-	for _, proj := range projs {
-		m, err := models.Build(proj.Spec.Domain)
-		if err != nil {
-			return nil, err
-		}
-		f, err := ProjectFrontier(m, proj, acc, policy)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, f)
-	}
-	return out, nil
-}
-
-// FootprintWithAllocator reports both the true footprint and a simulated
+// FootprintPoint reports both the true footprint and a simulated
 // framework-allocator view with a device capacity cap (Figure 10's swap
 // plateau).
 type FootprintPoint struct {
 	Params          float64               `json:"params"`
 	FootprintBytes  float64               `json:"footprint_bytes"`
 	AllocatorReport graph.AllocatorReport `json:"allocator_report"`
-}
-
-// FootprintSweep runs the Figure 10 sweep with a 12 GB / 80% allocator cap
-// matching the paper's profiling GPUs.
-func FootprintSweep(m *models.Model, paramTargets []float64, batch float64,
-	policy graph.SchedulePolicy) ([]FootprintPoint, error) {
-
-	a, err := NewAnalyzer(m)
-	if err != nil {
-		return nil, err
-	}
-	return a.FootprintSweep(paramTargets, batch, policy)
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"catamount/internal/costmodel"
 	"catamount/internal/graph"
 	"catamount/internal/hw"
 	"catamount/internal/models"
@@ -19,8 +20,7 @@ func testWordLM() *models.Model {
 }
 
 func TestCharacterizeBasics(t *testing.T) {
-	m := testWordLM()
-	r, err := Characterize(m, 512, 32, graph.PolicyMemGreedy)
+	r, err := characterize(newTestAnalyzer(t, testWordLM()), 512, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +43,9 @@ func TestCharacterizeBasics(t *testing.T) {
 }
 
 func TestSweepParamsMonotone(t *testing.T) {
-	m := testWordLM()
+	a := newTestAnalyzer(t, testWordLM())
 	targets := LogSpace(1e6, 1e8, 5)
-	rs, err := SweepParams(m, targets, 16, graph.PolicyMemGreedy)
+	rs, err := a.SweepParams(targets, 16, graph.PolicyMemGreedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,9 +99,8 @@ func TestDefaultSweepTargetsCoverDomains(t *testing.T) {
 }
 
 func TestFitAsymptoticsWordLMShape(t *testing.T) {
-	m := testWordLM()
-	a, err := FitAsymptotics(m, LogSpace(1e7, 1e9, 4), []float64{8, 32, 128}, 32,
-		graph.PolicyMemGreedy)
+	a, err := newTestAnalyzer(t, testWordLM()).FitAsymptotics(LogSpace(1e7, 1e9, 4),
+		[]float64{8, 32, 128}, 32, graph.PolicyMemGreedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,30 +151,14 @@ func TestIntensitySaturatesWithModelSize(t *testing.T) {
 }
 
 func TestFitAsymptoticsNeedsEnoughPoints(t *testing.T) {
-	m := testWordLM()
-	if _, err := FitAsymptotics(m, []float64{1e7}, []float64{8, 16}, 8,
+	a := newTestAnalyzer(t, testWordLM())
+	if _, err := a.FitAsymptotics([]float64{1e7}, []float64{8, 16}, 8,
 		graph.PolicyMemGreedy); err == nil {
 		t.Fatal("expected too-few-sizes error")
 	}
-	if _, err := FitAsymptotics(m, []float64{1e7, 1e8}, []float64{8}, 8,
+	if _, err := a.FitAsymptotics([]float64{1e7, 1e8}, []float64{8}, 8,
 		graph.PolicyMemGreedy); err == nil {
 		t.Fatal("expected too-few-batches error")
-	}
-}
-
-func TestStepEvalAtMatchesCharacterize(t *testing.T) {
-	m := testWordLM()
-	eval := StepEvalAt(m, 512)
-	f, by, _, err := eval(32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := Characterize(m, 512, 32, graph.PolicyMemGreedy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f-r.FLOPsPerStep) > 1 || math.Abs(by-r.BytesPerStep) > 1 {
-		t.Fatal("StepEvalAt disagrees with Characterize")
 	}
 }
 
@@ -192,7 +175,7 @@ func TestProjectFrontierSmallModel(t *testing.T) {
 		TargetParams:      2e8,
 	}
 	acc := hw.TargetAccelerator()
-	fr, err := ProjectFrontier(m, proj, acc, graph.PolicyMemGreedy)
+	fr, err := newTestAnalyzer(t, m).ProjectFrontierWith(proj, acc, costmodel.Default(), graph.PolicyMemGreedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +197,8 @@ func TestProjectFrontierSmallModel(t *testing.T) {
 }
 
 func TestFootprintSweepAllocatorCap(t *testing.T) {
-	m := testWordLM()
-	pts, err := FootprintSweep(m, LogSpace(1e7, 3e9, 4), 32, graph.PolicyMemGreedy)
+	a := newTestAnalyzer(t, testWordLM())
+	pts, err := a.FootprintSweep(LogSpace(1e7, 3e9, 4), 32, graph.PolicyMemGreedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,22 +217,20 @@ func TestFootprintSweepAllocatorCap(t *testing.T) {
 }
 
 // TestSessionPoolSharedAcrossCallers drives one Analyzer's session pool
-// from several goroutines at once: scalar Characterize, and batched
+// from several goroutines at once: one-row Point queries, and batched
 // CharacterizeBatch calls of varying width with and without per-op costs
 // on pooled sessions. A session one caller returns is then reused by
 // another caller of a different shape, and every row must still equal the
-// serial scalar result bit for bit. Run it under -race.
+// scalar oracle bit for bit. Run it under -race.
 func TestSessionPoolSharedAcrossCallers(t *testing.T) {
-	a, err := NewAnalyzer(testWordLM())
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newTestAnalyzer(t, testWordLM())
 	ctx := context.Background()
 	sizes := []float64{64, 128, 256, 512, 1024}
 	batches := []float64{8, 32, 128, 16, 64}
 	want := make([]Requirements, len(sizes))
 	for i := range sizes {
-		if want[i], err = a.Characterize(ctx, sizes[i], batches[i], graph.PolicyMemGreedy); err != nil {
+		var err error
+		if want[i], err = oracleCharacterize(a, sizes[i], batches[i], graph.PolicyMemGreedy); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -260,9 +241,10 @@ func TestSessionPoolSharedAcrossCallers(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < 20; it++ {
 				i := (g + it) % len(sizes)
-				r, err := a.Characterize(ctx, sizes[i], batches[i], graph.PolicyMemGreedy)
+				r, _, err := a.Point(ctx, sizes[i], batches[i], graph.PolicyMemGreedy,
+					hw.TargetAccelerator(), costmodel.PerOpRoofline{})
 				if err != nil || r != want[i] {
-					t.Errorf("goroutine %d: Characterize row %d = %+v, %v; want %+v", g, i, r, err, want[i])
+					t.Errorf("goroutine %d: Point row %d = %+v, %v; want %+v", g, i, r, err, want[i])
 					return
 				}
 				w := 1 + i
@@ -283,4 +265,79 @@ func TestSessionPoolSharedAcrossCallers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestPointMatchesOracle: a point query equals the scalar oracle bit for
+// bit, requirements and step time, under both cost models, and names the
+// first field that overflows float64 instead of returning it.
+func TestPointMatchesOracle(t *testing.T) {
+	a := newTestAnalyzer(t, testWordLM())
+	ctx := context.Background()
+	acc := hw.TargetAccelerator()
+	for _, cm := range []costmodel.Model{costmodel.GraphRoofline{}, costmodel.PerOpRoofline{}} {
+		for _, pt := range [][2]float64{{64, 8}, {512, 32}, {1024, 1}} {
+			want, err := oracleCharacterize(a, pt[0], pt[1], graph.PolicyMemGreedy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := oracleCosts(a, pt[0], pt[1], costmodel.NeedsOpCosts(cm))
+			r, est, err := a.Point(ctx, pt[0], pt[1], graph.PolicyMemGreedy, acc, cm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := cm.StepTime(acc, c)
+			if r != want || math.Float64bits(est.StepSeconds) != math.Float64bits(step) ||
+				est.ComputeBound != (cm.Bound(acc, c) == costmodel.BoundCompute) ||
+				est.Utilization != acc.Utilization(want.FLOPsPerStep, step) || est.CostModel != cm.Name() {
+				t.Fatalf("%s at %v: Point %+v %+v, oracle %+v step %v", cm.Name(), pt, r, est, want, step)
+			}
+		}
+	}
+	tiny := acc
+	tiny.PeakFLOPS = 1e-300
+	for _, c := range []struct {
+		batch float64
+		acc   hw.Accelerator
+		want  string
+	}{
+		{1e300, acc, "core: flops_per_step is +Inf: the point overflows float64"},
+		{32, tiny, "core: step_seconds is +Inf: the point overflows float64"},
+	} {
+		r, est, err := a.Point(ctx, 512, c.batch, graph.PolicyMemGreedy, c.acc, costmodel.Default())
+		if err == nil || err.Error() != c.want || r != (Requirements{}) || est != (RooflineEstimate{}) {
+			t.Fatalf("batch %g on %g FLOPS: %+v %+v %v; want error %q", c.batch, c.acc.PeakFLOPS, r, est, err, c.want)
+		}
+	}
+}
+
+// TestSubbatchSweepMatchesOracle: the cost-only subbatch sweep behind
+// Table 3, Figure 11 and /v1/subbatch prices every row exactly as the
+// scalar oracle's cost vector does, per-op breakdown included under the
+// per-op backend, and evaluates no footprint.
+func TestSubbatchSweepMatchesOracle(t *testing.T) {
+	a := newTestAnalyzer(t, testWordLM())
+	acc := hw.TargetAccelerator()
+	subbatches := hw.PowersOfTwo(10)
+	for _, cm := range []costmodel.Model{costmodel.GraphRoofline{}, costmodel.PerOpRoofline{}} {
+		pts := a.SubbatchSweep(512, subbatches, acc, cm)
+		if len(pts) != len(subbatches) {
+			t.Fatalf("%s: %d points for %d subbatches", cm.Name(), len(pts), len(subbatches))
+		}
+		for i, b := range subbatches {
+			c := oracleCosts(a, 512, b, costmodel.NeedsOpCosts(cm))
+			step := cm.StepTime(acc, c)
+			want := hw.SubbatchPoint{
+				Subbatch:      b,
+				FLOPs:         c.FLOPs,
+				Bytes:         c.Bytes,
+				Intensity:     c.FLOPs / c.Bytes,
+				StepTime:      step,
+				TimePerSample: step / b,
+				Utilization:   acc.Utilization(c.FLOPs, step),
+			}
+			if pts[i] != want {
+				t.Fatalf("%s at subbatch %g: %+v, oracle %+v", cm.Name(), b, pts[i], want)
+			}
+		}
+	}
 }

@@ -27,17 +27,14 @@ func buildAnalyzer(tb testing.TB, d models.Domain) *Analyzer {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	a, err := NewAnalyzer(m)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return a
+	return newTestAnalyzer(tb, m)
 }
 
 // TestPerOpStepTimesBatchMatchesScalar pins the batched per-op pricing to
-// the scalar StepTime and Bound on every domain and catalog device, bit for
-// bit: rows from three parameter targets by four subbatches, priced as
-// 1-row calls and as one multi-row call, with and without bounds. It also
+// the scalar StepTime and Bound of the oracle's cost vector on every domain
+// and catalog device, bit for bit: rows from three parameter targets by
+// four subbatches, priced as 1-row calls and as one multi-row call, with
+// and without bounds. It also
 // holds each domain's distinct-op table to a few dozen entries per
 // thousands of nodes, which is what makes pricing once per distinct op pay.
 func TestPerOpStepTimesBatchMatchesScalar(t *testing.T) {
@@ -86,7 +83,7 @@ func TestPerOpStepTimesBatchMatchesScalar(t *testing.T) {
 			}
 		}
 		for r := range rows {
-			c := a.StepCosts(sizes[r], batches[r], true)
+			c := oracleCosts(a, sizes[r], batches[r], true)
 			_, one, err := s.CharacterizeBatch(ctx, sizes[r:r+1], batches[r:r+1], graph.PolicyMemGreedy, true, nil)
 			if err != nil {
 				t.Fatal(err)

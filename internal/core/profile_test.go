@@ -102,7 +102,7 @@ func TestAlgorithmicIOBehaviour(t *testing.T) {
 
 func TestCharacterizeReportsIO(t *testing.T) {
 	m := models.BuildWordLM(models.WordLMConfig{Layers: 1, SeqLen: 4, Vocab: 20})
-	r, err := Characterize(m, 64, 16, graph.PolicyMemGreedy)
+	r, err := characterize(newTestAnalyzer(t, m), 64, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,17 +54,6 @@ type CostsBatch struct {
 	Ops   *OpsBatch
 }
 
-// BatchModel is a backend that evaluates a whole batch of points in one
-// pass. Both built-in backends implement it; sweeps price through it.
-type BatchModel interface {
-	Model
-	// StepTimesBatch estimates seconds per training step for every row,
-	// writing into dst (grown as needed and returned). When bounds is
-	// non-nil it must hold Rows entries and receives each row's limiting
-	// resource, matching the scalar Bound verdict.
-	StepTimesBatch(acc hw.Accelerator, c *CostsBatch, dst []float64, bounds []Bound) []float64
-}
-
 func growFloat(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n)
@@ -72,7 +61,7 @@ func growFloat(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-// StepTimesBatch implements BatchModel with the graph-level formula per
+// StepTimesBatch implements Model with the graph-level formula per
 // row, bit-identical to StepTime/Bound on each row's totals.
 func (GraphRoofline) StepTimesBatch(acc hw.Accelerator, c *CostsBatch, dst []float64, bounds []Bound) []float64 {
 	dst = growFloat(dst, c.Rows)
@@ -89,7 +78,7 @@ func (GraphRoofline) StepTimesBatch(acc hw.Accelerator, c *CostsBatch, dst []flo
 	return dst
 }
 
-// StepTimesBatch implements BatchModel. Each distinct op is priced once
+// StepTimesBatch implements Model. Each distinct op is priced once
 // per row; each row then sums its nodes' prices in node order, so every
 // summand and the summation order match the scalar StepTime and Bound.
 func (PerOpRoofline) StepTimesBatch(acc hw.Accelerator, c *CostsBatch, dst []float64, bounds []Bound) []float64 {
@@ -130,7 +119,3 @@ func (PerOpRoofline) StepTimesBatch(acc hw.Accelerator, c *CostsBatch, dst []flo
 	}
 	return dst
 }
-
-// AsBatch returns the backend's batched evaluator. Both built-in backends,
-// the only ones Parse returns, implement BatchModel.
-func AsBatch(m Model) BatchModel { return m.(BatchModel) }

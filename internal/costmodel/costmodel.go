@@ -79,6 +79,13 @@ type Model interface {
 	StepTime(acc hw.Accelerator, c Costs) float64
 	// Bound reports which resource limits the estimate.
 	Bound(acc hw.Accelerator, c Costs) Bound
+	// StepTimesBatch estimates seconds per training step for every row of
+	// a batch, writing into dst (grown as needed and returned). When
+	// bounds is non-nil it must hold Rows entries and receives each row's
+	// limiting resource. Row r must equal StepTime and Bound on that row's
+	// cost vector bit for bit. Every evaluation path, one point included,
+	// prices through it.
+	StepTimesBatch(acc hw.Accelerator, c *CostsBatch, dst []float64, bounds []Bound) []float64
 }
 
 // opCoster is the optional capability a backend declares when it consumes

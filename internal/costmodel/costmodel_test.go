@@ -184,25 +184,51 @@ func TestInfos(t *testing.T) {
 	}
 }
 
+// batchOf lays per-row cost vectors out as one CostsBatch. Every row must
+// carry the same op kinds in the same order (or none); each node becomes
+// its own distinct op.
+func batchOf(rows []Costs) *CostsBatch {
+	c := &CostsBatch{Rows: len(rows)}
+	for _, r := range rows {
+		c.FLOPs = append(c.FLOPs, r.FLOPs)
+		c.Bytes = append(c.Bytes, r.Bytes)
+	}
+	if len(rows) == 0 || len(rows[0].Ops) == 0 {
+		return c
+	}
+	n := len(rows[0].Ops)
+	ob := &OpsBatch{Rows: len(rows), Uniq: make([]float64, 2*n*len(rows))}
+	for i, op := range rows[0].Ops {
+		ob.Distinct = append(ob.Distinct, DistinctOp{Class: ClassFor(op.Kind), FLOPIx: int32(2 * i), ByteIx: int32(2*i + 1)})
+		ob.NodeOp = append(ob.NodeOp, int32(i))
+		for r, row := range rows {
+			ob.Uniq[2*i*len(rows)+r] = row.Ops[i].FLOPs
+			ob.Uniq[(2*i+1)*len(rows)+r] = row.Ops[i].Bytes
+		}
+	}
+	c.Ops = ob
+	return c
+}
+
 // TestSubbatchSweepMatchesHW: with the graph backend the costmodel sweep
-// reproduces hw.SubbatchSweep point-for-point.
+// reproduces hw.SubbatchSweep point-for-point, footprints aside (the
+// costmodel sweep evaluates none).
 func TestSubbatchSweepMatchesHW(t *testing.T) {
 	acc := hw.TargetAccelerator()
 	hwEval := func(b float64) (float64, float64, float64, error) {
-		return 2e9 * b, 1e9 + 5e7*b, b * 1e6, nil
+		return 2e9 * b, 1e9 + 5e7*b, 0, nil
 	}
-	cmEval := func(b float64) (Costs, float64, error) {
-		f, by, fp, _ := hwEval(b)
-		return GraphCosts(f, by), fp, nil
+	subbatches := hw.PowersOfTwo(10)
+	var rows []Costs
+	for _, b := range subbatches {
+		f, by, _, _ := hwEval(b)
+		rows = append(rows, GraphCosts(f, by))
 	}
-	want, err := hw.SubbatchSweep(hwEval, acc, hw.PowersOfTwo(10))
+	want, err := hw.SubbatchSweep(hwEval, acc, subbatches)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SubbatchSweep(cmEval, acc, GraphRoofline{}, hw.PowersOfTwo(10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := SubbatchSweep(batchOf(rows), subbatches, acc, GraphRoofline{})
 	if len(got) != len(want) {
 		t.Fatalf("length %d != %d", len(got), len(want))
 	}
@@ -217,7 +243,9 @@ func TestSubbatchSweepMatchesHW(t *testing.T) {
 // no faster than the graph backend's.
 func TestSubbatchSweepPerOpNotFaster(t *testing.T) {
 	acc := hw.TargetAccelerator()
-	eval := func(b float64) (Costs, float64, error) {
+	subbatches := hw.PowersOfTwo(8)
+	var rows []Costs
+	for _, b := range subbatches {
 		ops := []OpCost{
 			{Kind: "matmul", FLOPs: 1.6e9 * b, Bytes: 4e7 * b},
 			{Kind: "sigmoid", FLOPs: 4e8 * b, Bytes: 1e9},
@@ -228,20 +256,18 @@ func TestSubbatchSweepPerOpNotFaster(t *testing.T) {
 			c.FLOPs += op.FLOPs
 			c.Bytes += op.Bytes
 		}
-		return c, 0, nil
+		rows = append(rows, c)
 	}
-	g, err := SubbatchSweep(eval, acc, GraphRoofline{}, hw.PowersOfTwo(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := SubbatchSweep(eval, acc, PerOpRoofline{}, hw.PowersOfTwo(8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch := batchOf(rows)
+	g := SubbatchSweep(batch, subbatches, acc, GraphRoofline{})
+	p := SubbatchSweep(batch, subbatches, acc, PerOpRoofline{})
 	for i := range g {
 		if p[i].StepTime < g[i].StepTime {
 			t.Fatalf("subbatch %g: per-op %.6g faster than graph %.6g",
 				g[i].Subbatch, p[i].StepTime, g[i].StepTime)
+		}
+		if want := (PerOpRoofline{}).StepTime(acc, rows[i]); math.Float64bits(p[i].StepTime) != math.Float64bits(want) {
+			t.Fatalf("subbatch %g: batched per-op %v, scalar %v", g[i].Subbatch, p[i].StepTime, want)
 		}
 	}
 }

@@ -1,44 +1,31 @@
 package costmodel
 
-import (
-	"fmt"
+import "catamount/internal/hw"
 
-	"catamount/internal/hw"
-)
-
-// StepEval evaluates a training step at a subbatch size, returning the
-// step's cost vector and memory footprint. It is the cost-vector
-// generalization of hw.StepEval: the per-op backend needs node costs, not
-// just the (flops, bytes) scalars. A returned Costs is only read before
-// the next call, so evaluators may reuse their Ops buffer across calls.
-type StepEval func(subbatch float64) (Costs, float64, error)
-
-// SubbatchSweep evaluates the step across subbatch sizes (Figure 11's x
-// axis) with a pluggable step-time backend. With the GraphRoofline backend
-// it reproduces hw.SubbatchSweep exactly; hw.ChooseSubbatch applies the
-// §5.2.1 policies to the result either way.
-func SubbatchSweep(eval StepEval, acc hw.Accelerator, m Model, subbatches []float64) ([]hw.SubbatchPoint, error) {
-	out := make([]hw.SubbatchPoint, 0, len(subbatches))
-	for _, b := range subbatches {
-		c, fp, err := eval(b)
-		if err != nil {
-			return nil, fmt.Errorf("costmodel: subbatch %v: %w", b, err)
-		}
-		t := m.StepTime(acc, c)
+// SubbatchSweep prices a step across subbatch sizes (Figure 11's x axis)
+// with a pluggable step-time backend: row r of c is the step's cost vector
+// at subbatches[r]. With the GraphRoofline backend it reproduces
+// hw.SubbatchSweep exactly; hw.ChooseSubbatch applies the §5.2.1 policies
+// to the result either way. The sweep evaluates no footprint, so
+// FootprintBytes reads 0.
+func SubbatchSweep(c *CostsBatch, subbatches []float64, acc hw.Accelerator, m Model) []hw.SubbatchPoint {
+	steps := m.StepTimesBatch(acc, c, nil, nil)
+	out := make([]hw.SubbatchPoint, len(subbatches))
+	for r, b := range subbatches {
+		f, by, t := c.FLOPs[r], c.Bytes[r], steps[r]
 		intensity := 0.0
-		if c.Bytes > 0 {
-			intensity = c.FLOPs / c.Bytes
+		if by > 0 {
+			intensity = f / by
 		}
-		out = append(out, hw.SubbatchPoint{
-			Subbatch:       b,
-			FLOPs:          c.FLOPs,
-			Bytes:          c.Bytes,
-			Intensity:      intensity,
-			StepTime:       t,
-			TimePerSample:  t / b,
-			FootprintBytes: fp,
-			Utilization:    acc.Utilization(c.FLOPs, t),
-		})
+		out[r] = hw.SubbatchPoint{
+			Subbatch:      b,
+			FLOPs:         f,
+			Bytes:         by,
+			Intensity:     intensity,
+			StepTime:      t,
+			TimePerSample: t / b,
+			Utilization:   acc.Utilization(f, t),
+		}
 	}
-	return out, nil
+	return out
 }

@@ -146,11 +146,12 @@ func (c *Compiled) EvalStats(slots []float64) Stats {
 }
 
 // Footprint runs the schedule simulation for one slot binding, evaluating
-// tensor sizes through the compiled programs. Loops calling this per point
-// should prefer FootprintInto, which reuses the simulation state.
+// tensor sizes through the compiled programs. It allocates the simulation
+// state per call; loops over many points evaluate them as a batch and
+// simulate each row with FootprintFromBatch, which reuses it.
 func (c *Compiled) Footprint(slots []float64, policy SchedulePolicy) (ScheduleResult, error) {
-	var fs FootprintScratch
-	return c.FootprintInto(slots, policy, &fs)
+	var sim footprintSim
+	return sim.run(c.wiring, c.TensorValues(slots, nil), policy)
 }
 
 // NodeCosts evaluates every node's FLOPs and bytes into the provided slices

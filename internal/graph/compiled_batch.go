@@ -128,13 +128,6 @@ type FootprintScratch struct {
 	sim   footprintSim
 }
 
-// FootprintInto is Footprint with fully reused simulation state. The
-// returned Order aliases the scratch and is valid until the next call.
-func (c *Compiled) FootprintInto(slots []float64, policy SchedulePolicy, fs *FootprintScratch) (ScheduleResult, error) {
-	fs.sizes = c.TensorValues(slots, fs.sizes)
-	return fs.sim.run(c.wiring, fs.sizes, policy)
-}
-
 // FootprintFromBatch runs the schedule simulation for one row of a batched
 // tensor-byte matrix previously produced by TensorBytesBatch over a batch
 // of `rows` rows. The simulation reads each tensor's size from the row's

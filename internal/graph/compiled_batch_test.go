@@ -74,7 +74,7 @@ func TestBatchedCompiledMatchesScalar(t *testing.T) {
 		}
 	}
 
-	// Footprints: FootprintFromBatch and FootprintInto vs scalar Footprint.
+	// Footprints: FootprintFromBatch vs scalar Footprint.
 	tensUniq := c.TensorBytesBatch(b, nil, &bs.Eval)
 	var fp FootprintScratch
 	for _, policy := range []SchedulePolicy{PolicyFIFO, PolicyMemGreedy} {
@@ -89,18 +89,11 @@ func TestBatchedCompiledMatchesScalar(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got.PeakBytes != want.PeakBytes || got.PersistentBytes != want.PersistentBytes ||
-				got.PeakTransientBytes != want.PeakTransientBytes {
+				got.PeakTransientBytes != want.PeakTransientBytes || len(got.Order) != len(want.Order) {
 				t.Fatalf("row %d %v: FootprintFromBatch %+v != Footprint %+v", r, policy, got, want)
 			}
-			got2, err := c.FootprintInto(slots, policy, &fp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got2.PeakBytes != want.PeakBytes || len(got2.Order) != len(want.Order) {
-				t.Fatalf("row %d %v: FootprintInto %+v != Footprint %+v", r, policy, got2, want)
-			}
 			for i := range want.Order {
-				if got2.Order[i] != want.Order[i] {
+				if got.Order[i] != want.Order[i] {
 					t.Fatalf("row %d %v: order diverges at %d", r, policy, i)
 				}
 			}
@@ -108,15 +101,13 @@ func TestBatchedCompiledMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestFootprintIntoSteadyStateAllocs pins the point of FootprintScratch:
-// warm footprint evaluation does not allocate, neither for one slot
-// binding nor for one row of a batched tensor-byte matrix.
-func TestFootprintIntoSteadyStateAllocs(t *testing.T) {
+// TestFootprintFromBatchSteadyStateAllocs pins the point of
+// FootprintScratch: warm footprint evaluation of the rows of a batched
+// tensor-byte matrix does not allocate.
+func TestFootprintFromBatchSteadyStateAllocs(t *testing.T) {
 	g := buildChainGraph(32)
 	c := Compile(g)
-	slots := c.NewSlots()
 	hSlot, _ := c.Syms.Slot("h")
-	slots[hSlot] = 256
 	b := c.NewBatch(2)
 	b.Set(0, hSlot, 128)
 	b.Set(1, hSlot, 256)
@@ -124,18 +115,10 @@ func TestFootprintIntoSteadyStateAllocs(t *testing.T) {
 	uniq := c.TensorBytesBatch(b, nil, &bs.Eval)
 	for _, policy := range []SchedulePolicy{PolicyFIFO, PolicyMemGreedy} {
 		var fp FootprintScratch
-		if _, err := c.FootprintInto(slots, policy, &fp); err != nil {
+		if _, err := c.FootprintFromBatch(uniq, b.Rows(), 0, policy, &fp); err != nil {
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			if _, err := c.FootprintInto(slots, policy, &fp); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs > 0 {
-			t.Fatalf("%v: warm FootprintInto allocates %v times per run", policy, allocs)
-		}
-		allocs = testing.AllocsPerRun(20, func() {
 			for r := 0; r < b.Rows(); r++ {
 				if _, err := c.FootprintFromBatch(uniq, b.Rows(), r, policy, &fp); err != nil {
 					t.Fatal(err)

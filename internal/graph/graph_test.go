@@ -318,7 +318,6 @@ func TestFootprintRejectsInvalidSizes(t *testing.T) {
 	c := Compile(g)
 	slots := c.NewSlots()
 	bSlot, _ := c.Syms.Slot("b")
-	var fs FootprintScratch
 	for _, policy := range []SchedulePolicy{PolicyFIFO, PolicyMemGreedy} {
 		for _, b := range []float64{-64, math.NaN(), math.Inf(1), math.Inf(-1)} {
 			_, err := g.Footprint(map[string]float64{"b": b}, policy)
@@ -326,7 +325,7 @@ func TestFootprintRejectsInvalidSizes(t *testing.T) {
 				t.Fatalf("%v b=%v: map-env error %v, want one naming tensor y", policy, b, err)
 			}
 			slots[bSlot] = b
-			if _, err := c.FootprintInto(slots, policy, &fs); err == nil || !strings.Contains(err.Error(), "tensor y") {
+			if _, err := c.Footprint(slots, policy); err == nil || !strings.Contains(err.Error(), "tensor y") {
 				t.Fatalf("%v b=%v: compiled error %v, want one naming tensor y", policy, b, err)
 			}
 		}

@@ -51,8 +51,8 @@ type ScheduleResult struct {
 // Footprint simulates a topological traversal under env and returns the
 // memory footprint estimate for one training step. Hot paths that sweep many
 // evaluation points should compile the graph once and use
-// Compiled.FootprintInto, which replaces the per-tensor tree walk below with
-// precompiled programs, reads each tensor's size from the few distinct
+// Compiled.FootprintFromBatch, which replaces the per-tensor tree walk below
+// with precompiled programs, reads each tensor's size from the few distinct
 // sizes of its graph, and reuses the flattened wiring and simulation state.
 func (g *Graph) Footprint(env map[string]float64, policy SchedulePolicy) (ScheduleResult, error) {
 	// Pre-evaluate tensor byte sizes; here every tensor is its own size

@@ -359,7 +359,6 @@ func randomDAG(rng *rand.Rand, name string) *Graph {
 // ties (wideTieDAG), where the pick between the newly ready slot and the
 // heap top is decided by node id.
 func TestFootprintMatchesOracleRandomDAGs(t *testing.T) {
-	var fs FootprintScratch
 	for _, gen := range []struct {
 		name   string
 		seed   int64
@@ -384,7 +383,7 @@ func TestFootprintMatchesOracleRandomDAGs(t *testing.T) {
 					t.Fatal(err)
 				}
 				checkFootprint(t, g, bytes, policy, got)
-				got, err = c.FootprintInto(slots, policy, &fs)
+				got, err = c.Footprint(slots, policy)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -453,7 +452,6 @@ func TestInvalidSizeNamesFirstTensor(t *testing.T) {
 	syms := []string{"a", "b", "c", "d", "e"}
 	kinds := []TensorKind{Activation, Activation, Input, Param, State}
 	bad := []float64{-1, -1e-300, math.NaN(), math.Inf(1), math.Inf(-1)}
-	var fs FootprintScratch
 	failing := 0
 	for i := 0; i < 300; i++ {
 		g := New(fmt.Sprintf("bad%d", i))
@@ -492,7 +490,7 @@ func TestInvalidSizeNamesFirstTensor(t *testing.T) {
 		}
 		for _, policy := range []SchedulePolicy{PolicyFIFO, PolicyMemGreedy} {
 			_, err1 := g.Footprint(env, policy)
-			_, err2 := c.FootprintInto(slots, policy, &fs)
+			_, err2 := c.Footprint(slots, policy)
 			for _, err := range []error{err1, err2} {
 				got := ""
 				if err != nil {

@@ -487,6 +487,9 @@ func evaluate(cfg evalConfig, acc hw.Accelerator, workers int, subbatch float64,
 			reqErr = "characterization missing"
 		}
 		pl.Infeasible = append(pl.Infeasible, "characterize: "+reqErr)
+		if reason := zeroNonFinite(&pl); reason != "" {
+			pl.Infeasible = append(pl.Infeasible, reason)
+		}
 		return pl
 	}
 
@@ -539,6 +542,12 @@ func evaluate(cfg evalConfig, acc hw.Accelerator, workers int, subbatch float64,
 	}
 	pl.EnergyKWh = pl.TrainHours * float64(workers) * acc.TDPWatts / 1000
 
+	// A candidate whose outcome overflows float64 could not be encoded, nor
+	// ranked: it is infeasible, its non-finite values read 0, and the
+	// constraints below see those zeros.
+	if reason := zeroNonFinite(&pl); reason != "" {
+		pl.Infeasible = append(pl.Infeasible, reason)
+	}
 	if subbatch < cfg.minSubbatch {
 		pl.Infeasible = append(pl.Infeasible, subbatchReason(subbatch, cfg.minSubbatch))
 	}
@@ -553,6 +562,26 @@ func evaluate(cfg evalConfig, acc hw.Accelerator, workers int, subbatch float64,
 	}
 	pl.Feasible = len(pl.Infeasible) == 0
 	return pl
+}
+
+// zeroNonFinite puts 0 in place of each non-finite outcome of pl and returns
+// core's overflow message for the first, in JSON field order, or "" when
+// every value is finite.
+func zeroNonFinite(pl *Plan) string {
+	names := [...]string{"global_batch", "compute_seconds", "comm_seconds", "step_seconds",
+		"steps", "train_hours", "cost_usd", "energy_kwh", "utilization", "mem_per_device_gb"}
+	vals := [...]*float64{&pl.GlobalBatch, &pl.ComputeSeconds, &pl.CommSeconds, &pl.StepSeconds,
+		&pl.Steps, &pl.TrainHours, &pl.CostUSD, &pl.EnergyKWh, &pl.Utilization, &pl.MemPerDeviceGB}
+	reason := ""
+	for i, v := range vals {
+		if err := core.NonFiniteField(names[i], *v); err != nil {
+			if reason == "" {
+				reason = err.Error()
+			}
+			*v = 0
+		}
+	}
+	return reason
 }
 
 // The infeasibility reasons are built with strconv.AppendFloat, which

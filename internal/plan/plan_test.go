@@ -69,9 +69,9 @@ func smallSpec() Spec {
 	}
 }
 
-// bruteForce is the reference implementation: no sweep pool, no shared
-// sessions — one fresh Analyzer, nested loops in search order, and an
-// independently-written O(n²) Pareto pass. Equivalence with Planner.Run
+// bruteForce is the reference implementation: no sweep pool — one fresh
+// Analyzer, one point query per (accelerator, subbatch) cell, nested loops
+// in search order, and an independently-written O(n²) Pareto pass. Equivalence with Planner.Run
 // is exact because both sides share Evaluate and the same bisection.
 func bruteForce(t *testing.T, spec Spec) *Result {
 	t.Helper()
@@ -130,15 +130,14 @@ func bruteForce(t *testing.T, spec Spec) *Result {
 	var plans []Plan
 	for _, acc := range accs {
 		for _, b := range spec.Subbatches {
-			req, cerr := a.Characterize(context.Background(), size, b, graph.PolicyMemGreedy)
+			req, est, cerr := a.Point(context.Background(), size, b, graph.PolicyMemGreedy, acc, cm)
 			for _, w := range spec.WorkerCounts {
 				for _, st := range strategies {
 					if cerr != nil {
 						plans = append(plans, Evaluate(target, acc, w, b, st, nil, 0, cerr.Error(), spec))
 					} else {
 						r := req
-						compute := cm.StepTime(acc, a.StepCosts(size, b, costmodel.NeedsOpCosts(cm)))
-						plans = append(plans, Evaluate(target, acc, w, b, st, &r, compute, "", spec))
+						plans = append(plans, Evaluate(target, acc, w, b, st, &r, est.StepSeconds, "", spec))
 					}
 				}
 			}
@@ -751,6 +750,39 @@ func TestOverflowingSubbatchPlansEncode(t *testing.T) {
 		}
 		if err := sweep.WriteJSONLine(&buf, p); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestOverflowingPlansEncode is cmd/plan's path for candidates whose
+// outcome overflows float64 though their characterization may not:
+// -subbatch 1e308 overflows the global batch of every multi-worker
+// candidate, and -epochs 1e308 the steps and every total after them. Each
+// such plan is infeasible with a reason naming the first non-finite field,
+// reads 0 in its place, and encodes as an NDJSON line. Before, the first
+// such plan failed to encode with "json: unsupported value: +Inf".
+func TestOverflowingPlansEncode(t *testing.T) {
+	for _, c := range []struct {
+		spec   Spec
+		reason string
+	}{
+		{Spec{Domain: "image", Subbatches: []float64{1e308}}, "global_batch is +Inf: the point overflows float64"},
+		{Spec{Domain: "image", Epochs: 1e308, Subbatches: []float64{32}, WorkerCounts: []int{1}},
+			"steps is +Inf: the point overflows float64"},
+	} {
+		res := runPlanner(t, c.spec)
+		if len(res.Plans) == 0 || len(res.Frontier) != 0 {
+			t.Fatalf("%+v: %d plans, %d on the frontier; want plans and an empty frontier", c.spec, len(res.Plans), len(res.Frontier))
+		}
+		var buf strings.Builder
+		for _, p := range res.Plans {
+			overflows := c.spec.Epochs > 0 || p.Workers > 1
+			if p.Feasible || slices.Contains(p.Infeasible, c.reason) != overflows {
+				t.Fatalf("%+v: plan %+v; want the reason %q: %v", c.spec, p, c.reason, overflows)
+			}
+			if err := sweep.WriteJSONLine(&buf, p); err != nil {
+				t.Fatalf("%+v: plan %+v: %v", c.spec, p, err)
+			}
 		}
 	}
 }

@@ -185,3 +185,35 @@ func TestPlanOverflowingSubbatchInfeasible(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanOverflowingGlobalBatchInfeasible: a subbatch of 1e308 overflows
+// the global batch of every multi-worker candidate. Each such plan is
+// infeasible with a reason naming the field, reads 0 in its place, and the
+// search answers 200.
+func TestPlanOverflowingGlobalBatchInfeasible(t *testing.T) {
+	s := newTestServer(Config{})
+	rec, body := request(t, s, http.MethodPost, "/v1/plan",
+		[]byte(`{"domain":"image","subbatches":[1e308],"worker_counts":[1,2]}`))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("plan = %d %s", rec.Code, rec.Body)
+	}
+	plans := body["plans"].([]any)
+	if len(plans) == 0 {
+		t.Fatal("no plans")
+	}
+	for _, p := range plans {
+		p := p.(map[string]any)
+		reasons, _ := p["infeasible"].([]any)
+		want := 1
+		if p["workers"].(float64) > 1 {
+			want = 2
+			if last := reasons[len(reasons)-1]; last != "global_batch is +Inf: the point overflows float64" ||
+				p["global_batch"].(float64) != 0 {
+				t.Fatalf("plan %v: last reason %v", p, last)
+			}
+		}
+		if len(reasons) != want || !strings.HasPrefix(reasons[0].(string), "characterize: ") {
+			t.Fatalf("plan %v: reasons %v", p, reasons)
+		}
+	}
+}

@@ -280,6 +280,20 @@ func TestUnservableRequestIs422(t *testing.T) {
 	}
 }
 
+// TestAnalyzeOverflowingPointIs422: a point whose FLOPs overflow float64
+// answers 422 with the message naming the field, under both cost models,
+// instead of the JSON encoder's "unsupported value: +Inf".
+func TestAnalyzeOverflowingPointIs422(t *testing.T) {
+	s := newTestServer(Config{})
+	for _, cm := range []string{"graph", "perop"} {
+		rec, body := get(t, s, "/v1/analyze?domain=image&params=1e8&batch=1e300&costmodel="+cm)
+		want := "core: flops_per_step is +Inf: the point overflows float64"
+		if rec.Code != http.StatusUnprocessableEntity || errMessage(body) != want {
+			t.Fatalf("%s: %d %s; want 422 with %q", cm, rec.Code, rec.Body, want)
+		}
+	}
+}
+
 func TestSubbatchPolicyAliasesShareCache(t *testing.T) {
 	s := newTestServer(Config{})
 	for _, p := range []string{"min-time", "min-time-per-sample"} {

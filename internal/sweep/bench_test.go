@@ -7,7 +7,9 @@ import (
 	"runtime"
 	"testing"
 
+	"catamount/internal/costmodel"
 	"catamount/internal/graph"
+	"catamount/internal/hw"
 )
 
 // referenceSpec is the fixed grid the reference-grid tests and benchmarks
@@ -161,7 +163,8 @@ func BenchmarkPerPointEquivalent(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := a.Characterize(context.Background(), size, a.Model.DefaultBatch, graph.PolicyMemGreedy); err != nil {
+				if _, _, err := a.Point(context.Background(), size, a.Model.DefaultBatch, graph.PolicyMemGreedy,
+					hw.TargetAccelerator(), costmodel.Default()); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -27,6 +27,7 @@
 package sweep
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -99,14 +100,12 @@ type Runner struct {
 	accs       []hw.Accelerator
 	workers    int
 
-	// model is the resolved step-time backend; batchModel is its batched
-	// evaluator; label is its canonical name when the spec selected one
-	// explicitly (it tags emitted points), and needsOps records whether
-	// cells must evaluate per-node costs.
-	model      costmodel.Model
-	batchModel costmodel.BatchModel
-	label      string
-	needsOps   bool
+	// model is the resolved step-time backend; label is its canonical name
+	// when the spec selected one explicitly (it tags emitted points), and
+	// needsOps records whether cells must evaluate per-node costs.
+	model    costmodel.Model
+	label    string
+	needsOps bool
 
 	// stageStep times the batched step-time pricing, per backend
 	// ("steptime_graph" / "steptime_perop"), resolved once per Runner so
@@ -192,7 +191,6 @@ func New(src SessionSource, spec Spec) (*Runner, error) {
 		return nil, fmt.Errorf("sweep: %w", err)
 	}
 	r.model = cm
-	r.batchModel = costmodel.AsBatch(cm)
 	r.needsOps = costmodel.NeedsOpCosts(cm)
 	r.stageStepName = "steptime_" + cm.Name()
 	r.stageStep = obs.Stage(r.stageStepName)
@@ -474,8 +472,8 @@ func (r *Runner) evalTask(ctx context.Context, t task, a *core.Analyzer, sizes [
 		if vi < 0 {
 			continue
 		}
-		if err := nonFinite(&reqs[vi]); err != nil {
-			tr.errs[i] = err
+		if err := core.NonFinite(&reqs[vi]); err != nil {
+			tr.errs[i] = fmt.Errorf("sweep: %w", err)
 			tr.validIdx[i] = -1
 		}
 	}
@@ -486,7 +484,7 @@ func (r *Runner) evalTask(ctx context.Context, t task, a *core.Analyzer, sizes [
 	ssp := obs.StartSpan(ctx, r.stageStepName, r.stageStep)
 	for ai, acc := range r.accs {
 		seg := tr.steps[ai*tr.nValid : (ai+1)*tr.nValid]
-		r.batchModel.StepTimesBatch(acc, costs, seg, tr.bounds[ai*tr.nValid:(ai+1)*tr.nValid])
+		r.model.StepTimesBatch(acc, costs, seg, tr.bounds[ai*tr.nValid:(ai+1)*tr.nValid])
 	}
 	ssp.End()
 	return tr
@@ -519,10 +517,9 @@ func (r *Runner) emitTask(t task, startSeq int, tr *taskResult, yield func(Point
 				vi := tr.validIdx[i]
 				step := tr.steps[ai*tr.nValid+vi]
 				util := acc.Utilization(tr.reqs[vi].FLOPsPerStep, step)
-				if err := nonFiniteField("step_seconds", step); err != nil {
-					p.Error = err.Error()
-				} else if err := nonFiniteField("utilization", util); err != nil {
-					p.Error = err.Error()
+				if err := cmp.Or(core.NonFiniteField("step_seconds", step),
+					core.NonFiniteField("utilization", util)); err != nil {
+					p.Error = "sweep: " + err.Error()
 				} else {
 					req := tr.reqs[vi]
 					p.Requirements = &req
@@ -571,36 +568,6 @@ func (r *Runner) forEach(ctx context.Context, n int, fn func(i int)) {
 	}
 	close(next)
 	wg.Wait()
-}
-
-// nonFinite names the first value of r, in JSON field order, that is not
-// finite: a subbatch or model size large enough overflows float64, and
-// JSON has no encoding for the result.
-func nonFinite(r *core.Requirements) error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"size", r.Size}, {"batch", r.Batch}, {"params", r.Params},
-		{"flops_per_step", r.FLOPsPerStep}, {"bytes_per_step", r.BytesPerStep},
-		{"flops_per_sample", r.FLOPsPerSample}, {"intensity", r.Intensity},
-		{"footprint_bytes", r.FootprintBytes}, {"persistent_bytes", r.PersistentBytes},
-		{"io_bytes", r.IOBytes}, {"fwd_flops", r.FwdFLOPs}, {"bwd_flops", r.BwdFLOPs},
-	} {
-		if err := nonFiniteField(f.name, f.v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// nonFiniteField reports v, the value of the named point field, if it is
-// not finite.
-func nonFiniteField(name string, v float64) error {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return fmt.Errorf("sweep: %s is %v: the point overflows float64", name, v)
-	}
-	return nil
 }
 
 func positiveFinite(v float64) bool {

@@ -131,7 +131,7 @@ func PrintRequirements(w io.Writer, r Requirements) {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "Model\t%s\n", r.Name)
 	fmt.Fprintf(tw, "Size hyperparameter\t%.1f\n", r.Size)
-	fmt.Fprintf(tw, "Subbatch\t%.0f\n", r.Batch)
+	fmt.Fprintf(tw, "Subbatch\t%g\n", r.Batch)
 	fmt.Fprintf(tw, "Parameters\t%.4g\n", r.Params)
 	fmt.Fprintf(tw, "Algorithmic FLOPs/step\t%.4g\n", r.FLOPsPerStep)
 	fmt.Fprintf(tw, "Algorithmic FLOPs/step/sample\t%.4g\n", r.FLOPsPerSample)

@@ -26,45 +26,94 @@ func catalogNames(t *testing.T) []string {
 
 // TestSweepMatchesAnalyzePointwise pins the amortization to correctness:
 // every sweep point must carry exactly the numbers the one-point Analyze
-// path computes — same size solve, same characterization, same Roofline.
+// and AnalyzeOn paths compute — same size solve, same characterization,
+// same step time and bound — on every domain, under both cost models.
 func TestSweepMatchesAnalyzePointwise(t *testing.T) {
 	eng := sweepTestEngine
-	spec := cat.SweepSpec{
-		Domains:      []string{"wordlm", "nmt"},
-		Params:       []float64{1e8, 3e8},
-		Subbatches:   []float64{32, 128},
-		Accelerators: []string{"v100", "a100"},
+	for _, costModel := range []string{"graph", "perop"} {
+		cm, err := cat.ParseCostModel(costModel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := cat.SweepSpec{
+			Params:       []float64{1e8, 3e8},
+			Subbatches:   []float64{32, 128},
+			Accelerators: []string{"v100", "a100"},
+			CostModel:    costModel,
+		}
+		pts, err := eng.SweepAll(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := len(cat.Domains()) * 2 * 2 * 2; len(pts) != want {
+			t.Fatalf("%s: grid has %d points, want %d", costModel, len(pts), want)
+		}
+		for i, p := range pts {
+			if p.Seq != i {
+				t.Fatalf("%s: point %d has seq %d", costModel, i, p.Seq)
+			}
+			if p.Error != "" {
+				t.Fatalf("%s: point %d failed: %s", costModel, i, p.Error)
+			}
+			want, err := eng.Analyze(p.Domain, p.ParamTarget, p.Subbatch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p.Requirements == nil || *p.Requirements != want {
+				t.Fatalf("%s: point %d requirements diverge from Analyze:\n got %+v\nwant %+v",
+					costModel, i, p.Requirements, want)
+			}
+			acc, err := cat.AcceleratorByName(p.Accelerator)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, est, err := eng.AnalyzeOn(context.Background(), p.Domain, p.ParamTarget, p.Subbatch, acc, cm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if req != want || est.StepSeconds != p.StepSeconds || est.ComputeBound != p.ComputeBound ||
+				est.Utilization != p.Utilization {
+				t.Fatalf("%s: point %d diverges from AnalyzeOn: step %v bound %v util %v, AnalyzeOn %+v",
+					costModel, i, p.StepSeconds, p.ComputeBound, p.Utilization, est)
+			}
+			if step := acc.StepTime(want.FLOPsPerStep, want.BytesPerStep); costModel == "graph" && p.StepSeconds != step {
+				t.Fatalf("point %d step %v != Roofline %v", i, p.StepSeconds, step)
+			}
+		}
 	}
-	pts, err := eng.SweepAll(context.Background(), spec)
+}
+
+// TestPointOverflowNamesField: a point whose values overflow float64 is an
+// error naming the first such field on every point path, never +Inf
+// requirements that no encoder can write.
+func TestPointOverflowNamesField(t *testing.T) {
+	const want = "core: flops_per_step is +Inf: the point overflows float64"
+	eng := sweepTestEngine
+	check := func(path string, req cat.Requirements, err error) {
+		t.Helper()
+		if err == nil || err.Error() != want || req != (cat.Requirements{}) {
+			t.Fatalf("%s: %+v, %v; want error %q", path, req, err, want)
+		}
+	}
+	req, err := eng.Analyze(cat.ImageCl, 1e8, 1e300)
+	check("Analyze", req, err)
+	for _, costModel := range []string{"graph", "perop"} {
+		cm, err := cat.ParseCostModel(costModel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, est, err := eng.AnalyzeOn(context.Background(), cat.ImageCl, 1e8, 1e300, cat.TargetAccelerator(), cm)
+		check("AnalyzeOn "+costModel, req, err)
+		if est != (cat.RooflineEstimate{}) {
+			t.Fatalf("AnalyzeOn %s: estimate %+v alongside the error", costModel, est)
+		}
+	}
+	m, err := cat.Build(cat.ImageCl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2*2*2*2 {
-		t.Fatalf("grid has %d points, want 16", len(pts))
-	}
-	for i, p := range pts {
-		if p.Seq != i {
-			t.Fatalf("point %d has seq %d", i, p.Seq)
-		}
-		if p.Error != "" {
-			t.Fatalf("point %d failed: %s", i, p.Error)
-		}
-		want, err := eng.Analyze(p.Domain, p.ParamTarget, p.Subbatch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.Requirements == nil || *p.Requirements != want {
-			t.Fatalf("point %d requirements diverge from Analyze:\n got %+v\nwant %+v",
-				i, p.Requirements, want)
-		}
-		acc, err := cat.AcceleratorByName(p.Accelerator)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if step := acc.StepTime(want.FLOPsPerStep, want.BytesPerStep); p.StepSeconds != step {
-			t.Fatalf("point %d step %v != Roofline %v", i, p.StepSeconds, step)
-		}
-	}
+	req, err = cat.AnalyzeModel(m, 1e8, 1e300)
+	check("AnalyzeModel", req, err)
 }
 
 // TestSweepDeterministicOrder runs the same grid twice and requires
