@@ -90,7 +90,7 @@ func (e *Engine) Analyzer(d Domain) (*core.Analyzer, error) {
 	ent.once.Do(func() {
 		// The build-and-compile is the engine's coldest stage: its latency
 		// distribution (one observation per domain per process, from about
-		// 15 ms for image to 0.8 s for speech on 2 vCPUs) separates
+		// 5 ms for image to 0.3–0.4 s for speech on 2 vCPUs) separates
 		// cold-start cost from steady-state serving in /metrics.
 		defer obs.Span(context.Background(), "model_build").End()
 		m, err := models.Build(d)

@@ -12,13 +12,15 @@ import (
 // the five domains, and the heap the five analyzers still hold after two
 // collections. Both fall when each distinct size and cost expression is
 // derived once; rebuilding them per tensor, per edge or per caller shows
-// here as hundreds of MB allocated and a larger retained heap.
+// here as hundreds of MB allocated and a larger retained heap. The five
+// domains allocate about 110 MB when node costs are derived once per
+// operand signature, and about 230 MB when every node derives its own.
 func TestColdBuildAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and compiles all five domains")
 	}
 	const (
-		allocCeilingMB    = 400.0
+		allocCeilingMB    = 160.0
 		retainedCeilingMB = 62.0
 	)
 	var before, built, after runtime.MemStats

@@ -124,7 +124,41 @@ func profileCompiled(c *graph.Compiled, slots []float64) (*Profile, error) {
 		p.ByGroup = append(p.ByGroup, *gp)
 	}
 	sort.Slice(p.ByGroup, func(i, j int) bool { return p.ByGroup[i].Group < p.ByGroup[j].Group })
+	if err := p.nonFinite(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	return p, nil
+}
+
+// nonFinite names the first value of p, in JSON order, that is not finite
+// (by_kind[0].flops, …, io_bytes), as NonFinite does for Requirements.
+func (p *Profile) nonFinite() error {
+	type field struct {
+		name string
+		v    float64
+	}
+	first := func(prefix string, fields ...field) error {
+		for _, f := range fields {
+			if err := NonFiniteField(prefix+f.name, f.v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for i, k := range p.ByKind {
+		if err := first(fmt.Sprintf("by_kind[%d].", i), field{"flops", k.FLOPs}, field{"bytes", k.Bytes},
+			field{"flops_share", k.FLOPsShare}, field{"bytes_share", k.BytesShare}); err != nil {
+			return err
+		}
+	}
+	for i, g := range p.ByGroup {
+		if err := first(fmt.Sprintf("by_group[%d].", i), field{"flops", g.FLOPs}, field{"bytes", g.Bytes},
+			field{"param_bytes", g.ParamBytes}, field{"flops_share", g.FLOPsShare}); err != nil {
+			return err
+		}
+	}
+	return first("", field{"total_flops", p.TotalFLOPs}, field{"total_bytes", p.TotalBytes},
+		field{"io_bytes", p.IOBytes})
 }
 
 // KindCSVHeader is the column row matching KindCSVRecord,

@@ -2,6 +2,7 @@ package graph_test
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"catamount/internal/graph"
@@ -9,13 +10,32 @@ import (
 	"catamount/internal/symbolic"
 )
 
+// domainModels holds each domain's model, built on first use, so the
+// tests and benchmarks of this package build each domain graph once.
+var domainModels = struct {
+	sync.Mutex
+	m map[models.Domain]*models.Model
+}{m: make(map[models.Domain]*models.Model)}
+
+// domainModel returns d's model, building it on first use.
+func domainModel(d models.Domain) *models.Model {
+	domainModels.Lock()
+	defer domainModels.Unlock()
+	m, ok := domainModels.m[d]
+	if !ok {
+		m = models.MustBuild(d)
+		domainModels.m[d] = m
+	}
+	return m
+}
+
 // domainRows compiles a domain's training graph and binds sweep-like rows:
 // params × subbatches, with each parameter target inverted to the model's
 // size hyperparameter. It returns the batched tensor-byte matrix the
 // footprint simulator reads, and its row count.
 func domainRows(tb testing.TB, d models.Domain, params, subbatches []float64) (*models.Model, *graph.Compiled, []float64, int) {
 	tb.Helper()
-	m := models.MustBuild(d)
+	m := domainModel(d)
 	c := graph.Compile(m.Graph)
 	sizeSlot, ok1 := c.Syms.Slot(m.SizeSymbol)
 	batchSlot, ok2 := c.Syms.Slot(m.BatchSymbol)

@@ -13,7 +13,9 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
+	"reflect"
 	"sort"
 	"strconv"
 	"sync"
@@ -66,7 +68,11 @@ type Tensor struct {
 	Producer  *Node
 	Consumers []*Node
 
-	id int
+	// id is the tensor's index in its graph. sizeID numbers its (element
+	// size, dims) pair within the graph, so tensors of equal size share it
+	// and the derivation memo can key node costs by operand sizes. Both
+	// are int32 so a Tensor stays in its 144-byte allocation size class.
+	id, sizeID int32
 
 	// numel and bytes are the size expressions, shared by every tensor of
 	// the graph with the same element size and dims.
@@ -89,6 +95,14 @@ func (t *Tensor) String() string {
 
 // Op is a computational kernel attached to a node. Implementations live in
 // the ops package; the graph package only needs the analytical quantities.
+//
+// FLOPs and Bytes must depend only on the op value and, in order, on the
+// element size and dims of each input and output of n: never on names,
+// groups, kinds or wiring beyond that. The graph relies on this while it
+// is being built: nodes whose operands have equal sizes share one IOBytes
+// expression, and nodes with equal op values and operand sizes share one
+// FLOPs expression. An op value that cannot key a map (such as a struct
+// holding a slice) has its FLOPs derived per node, uncached.
 type Op interface {
 	// Kind returns the op type name, e.g. "matmul".
 	Kind() string
@@ -106,6 +120,7 @@ type Node struct {
 	Inputs  []*Tensor
 	Outputs []*Tensor
 
+	g  *Graph
 	id int
 
 	// flopsExpr / bytesExpr cache the op-derived cost expressions, which are
@@ -118,10 +133,16 @@ type Node struct {
 // FLOPs returns the node's algorithmic FLOPs, derived from the op once and
 // cached. Graph.WarmCosts fills every node's cache exactly once and seals
 // the graph, so reads after it are race-free; a call before it is an
-// unsynchronized fill meant for single-threaded graph construction.
+// unsynchronized fill meant for single-threaded graph construction, and
+// shares the expression of an earlier node with an equal op value and
+// equal operand sizes.
 func (n *Node) FLOPs() symbolic.Expr {
 	if n.flopsExpr == nil {
-		n.flopsExpr = n.Op.FLOPs(n)
+		if m := n.g.memo; m != nil {
+			n.flopsExpr = m.flopsFor(n)
+		} else {
+			n.flopsExpr = n.Op.FLOPs(n)
+		}
 	}
 	return n.flopsExpr
 }
@@ -140,8 +161,24 @@ func (n *Node) String() string {
 }
 
 // IOBytes is the default byte model: every input read once plus every output
-// written once.
+// written once. While the graph is being built it is memoized by the
+// node's operand sizes; once WarmCosts has sealed the graph it derives
+// afresh and writes nothing.
 func IOBytes(n *Node) symbolic.Expr {
+	m := n.g.memo
+	if m == nil {
+		return ioBytes(n)
+	}
+	sig := m.signature(n)
+	if e := m.io[sig]; e != nil {
+		return e
+	}
+	e := ioBytes(n)
+	m.io[sig] = e
+	return e
+}
+
+func ioBytes(n *Node) symbolic.Expr {
 	parts := make([]symbolic.Expr, 0, len(n.Inputs)+len(n.Outputs))
 	for _, t := range n.Inputs {
 		parts = append(parts, t.Bytes())
@@ -166,6 +203,10 @@ type Graph struct {
 	sizes  map[string]tensorSize
 	keyBuf []byte
 
+	// memo shares node cost derivations among nodes of equal operand
+	// sizes. WarmCosts drops it when it seals the graph.
+	memo *deriveMemo
+
 	warmOnce sync.Once
 	// sealed is set by WarmCosts: from then on the totals below and any
 	// Compiled bundle describe the graph, so no node and no tensor other
@@ -175,8 +216,72 @@ type Graph struct {
 	paramCount, totalFLOPs, totalBytes, algIO symbolic.Expr
 }
 
-// tensorSize is the pair of size expressions tensors share.
-type tensorSize struct{ numel, bytes symbolic.Expr }
+// tensorSize is the pair of size expressions tensors share, and its id.
+type tensorSize struct {
+	numel, bytes symbolic.Expr
+	id           int32
+}
+
+// deriveMemo memoizes node cost derivation by operand sizes. An unrolled
+// recurrent graph repeats the same few operand sizes step after step, so
+// most of its nodes find their expressions here instead of rebuilding
+// them. It is filled only where the node cost cache is: during
+// single-threaded construction and inside WarmCosts.
+type deriveMemo struct {
+	// sigs numbers each distinct operand signature: the input count and
+	// the ordered input and output size ids, as uvarints.
+	sigs map[string]int32
+	// io holds IOBytes by signature number, nil until derived.
+	io    []symbolic.Expr
+	flops map[flopsKey]symbolic.Expr
+	buf   []byte
+}
+
+// flopsKey identifies a FLOPs derivation: the op value and the operand
+// signature number.
+type flopsKey struct {
+	op  Op
+	sig int32
+}
+
+func newDeriveMemo() *deriveMemo {
+	return &deriveMemo{sigs: make(map[string]int32), flops: make(map[flopsKey]symbolic.Expr)}
+}
+
+// signature returns the number of n's operand signature, assigning the
+// next one on first sight.
+func (m *deriveMemo) signature(n *Node) int32 {
+	b := binary.AppendUvarint(m.buf[:0], uint64(len(n.Inputs)))
+	for _, t := range n.Inputs {
+		b = binary.AppendUvarint(b, uint64(t.sizeID))
+	}
+	for _, t := range n.Outputs {
+		b = binary.AppendUvarint(b, uint64(t.sizeID))
+	}
+	m.buf = b
+	if sig, ok := m.sigs[string(b)]; ok {
+		return sig
+	}
+	sig := int32(len(m.io))
+	m.sigs[string(b)] = sig
+	m.io = append(m.io, nil)
+	return sig
+}
+
+// flopsFor returns n's FLOPs, derived once per op value and operand
+// signature. An op value that cannot key a map is derived uncached.
+func (m *deriveMemo) flopsFor(n *Node) symbolic.Expr {
+	if !reflect.ValueOf(n.Op).Comparable() {
+		return n.Op.FLOPs(n)
+	}
+	k := flopsKey{n.Op, m.signature(n)}
+	e, ok := m.flops[k]
+	if !ok {
+		e = n.Op.FLOPs(n)
+		m.flops[k] = e
+	}
+	return e
+}
 
 // WarmCosts derives every node's FLOP and byte expressions, interns them
 // by canonical string so structurally equal costs share one expression,
@@ -187,7 +292,8 @@ type tensorSize struct{ numel, bytes symbolic.Expr }
 //
 // WarmCosts seals the graph: AddNode fails afterwards, and NewTensor panics
 // for a Param, Input or State tensor, since any of them would leave the
-// totals or a Compiled bundle stale.
+// totals or a Compiled bundle stale. It drops the derivation memo, so a
+// sealed graph retains none of it.
 func (g *Graph) WarmCosts() {
 	g.warmOnce.Do(func() {
 		g.sealed = true
@@ -207,6 +313,7 @@ func (g *Graph) WarmCosts() {
 			n.bytesExpr = intern(n.Bytes())
 			flops[i], bytes[i] = n.flopsExpr, n.bytesExpr
 		}
+		g.memo = nil
 		var params, io []symbolic.Expr
 		for _, t := range g.tensors {
 			switch t.Kind {
@@ -230,6 +337,7 @@ func New(name string) *Graph {
 		byName:   make(map[string]*Tensor),
 		nameSeqs: make(map[string]int),
 		sizes:    make(map[string]tensorSize),
+		memo:     newDeriveMemo(),
 	}
 }
 
@@ -258,13 +366,14 @@ func (g *Graph) NewTensor(name string, kind TensorKind, dt tensor.DType, shape t
 	}
 	size := g.sizeFor(dt, shape)
 	t := &Tensor{
-		Name:  g.uniqueName(name),
-		Kind:  kind,
-		DType: dt,
-		Shape: shape,
-		id:    len(g.tensors),
-		numel: size.numel,
-		bytes: size.bytes,
+		Name:   g.uniqueName(name),
+		Kind:   kind,
+		DType:  dt,
+		Shape:  shape,
+		id:     int32(len(g.tensors)),
+		sizeID: size.id,
+		numel:  size.numel,
+		bytes:  size.bytes,
 	}
 	g.tensors = append(g.tensors, t)
 	g.byName[t.Name] = t
@@ -272,8 +381,9 @@ func (g *Graph) NewTensor(name string, kind TensorKind, dt tensor.DType, shape t
 }
 
 // sizeFor returns the size expressions for dtype dt and shape, built on
-// the first request for that element size and those dims. The key joins
-// the element size and each dim's canonical string with NUL separators.
+// the first request for that element size and those dims and numbered in
+// order of first request. The key joins the element size and each dim's
+// canonical string with NUL separators.
 func (g *Graph) sizeFor(dt tensor.DType, shape tensor.Shape) tensorSize {
 	key := strconv.AppendInt(g.keyBuf[:0], int64(dt.Size()), 10)
 	for _, d := range shape {
@@ -285,16 +395,28 @@ func (g *Graph) sizeFor(dt tensor.DType, shape tensor.Shape) tensorSize {
 		return s
 	}
 	numel := shape.NumElements()
-	s := tensorSize{numel: numel, bytes: symbolic.Mul(numel, symbolic.C(float64(dt.Size())))}
+	s := tensorSize{
+		numel: numel,
+		bytes: symbolic.Mul(numel, symbolic.C(float64(dt.Size()))),
+		id:    int32(len(g.sizes)),
+	}
 	g.sizes[string(key)] = s
 	return s
 }
 
-// AddNode creates a node wiring inputs to outputs. Each output must not
-// already have a producer, and the graph must not be sealed by WarmCosts.
+// AddNode creates a node wiring inputs to outputs. Every tensor must have
+// been created by g's NewTensor, each output must not already have a
+// producer, and the graph must not be sealed by WarmCosts.
 func (g *Graph) AddNode(name, group string, op Op, inputs, outputs []*Tensor) (*Node, error) {
 	if g.sealed {
 		return nil, fmt.Errorf("graph: node %q added after WarmCosts sealed graph %q", name, g.Name)
+	}
+	for _, ts := range [2][]*Tensor{inputs, outputs} {
+		for _, t := range ts {
+			if int(t.id) >= len(g.tensors) || g.tensors[t.id] != t {
+				return nil, fmt.Errorf("graph: node %q: tensor %q is not in graph %q", name, t.Name, g.Name)
+			}
+		}
 	}
 	n := &Node{
 		Name:    name,
@@ -302,6 +424,7 @@ func (g *Graph) AddNode(name, group string, op Op, inputs, outputs []*Tensor) (*
 		Group:   group,
 		Inputs:  inputs,
 		Outputs: outputs,
+		g:       g,
 		id:      len(g.nodes),
 	}
 	for _, t := range outputs {

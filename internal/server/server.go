@@ -12,6 +12,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -28,6 +29,7 @@ import (
 
 	cat "catamount"
 	"catamount/internal/api"
+	"catamount/internal/core"
 	"catamount/internal/costmodel"
 	"catamount/internal/graph"
 	"catamount/internal/graphio"
@@ -985,6 +987,15 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		}
 		stats := c.EvalStats(slots)
 		fp, err := c.Footprint(slots, policy)
+		if err == nil {
+			// Finite bindings can still overflow a total, which JSON
+			// cannot encode; name the first such field, in JSON order.
+			err = cmp.Or(core.NonFiniteField("params", stats.Params),
+				core.NonFiniteField("flops", stats.FLOPs), core.NonFiniteField("bytes", stats.Bytes),
+				core.NonFiniteField("intensity", stats.Intensity),
+				core.NonFiniteField("footprint_bytes", fp.PeakBytes),
+				core.NonFiniteField("persistent_bytes", fp.PersistentBytes))
+		}
 		if err != nil {
 			done <- outcome{status: http.StatusUnprocessableEntity, errMsg: err.Error()}
 			return

@@ -294,6 +294,18 @@ func TestAnalyzeOverflowingPointIs422(t *testing.T) {
 	}
 }
 
+// TestProfileOverflowingPointIs422: a profile whose totals overflow
+// float64 answers 422 naming the first bad field in JSON order, instead
+// of the JSON encoder's "unsupported value: +Inf".
+func TestProfileOverflowingPointIs422(t *testing.T) {
+	s := newTestServer(Config{})
+	rec, body := get(t, s, "/v1/profile?domain=image&params=1e8&batch=1e300")
+	want := "core: by_kind[0].flops is +Inf: the point overflows float64"
+	if rec.Code != http.StatusUnprocessableEntity || errMessage(body) != want {
+		t.Fatalf("%d %s; want 422 with %q", rec.Code, rec.Body, want)
+	}
+}
+
 func TestSubbatchPolicyAliasesShareCache(t *testing.T) {
 	s := newTestServer(Config{})
 	for _, p := range []string{"min-time", "min-time-per-sample"} {
@@ -446,6 +458,54 @@ func TestCheckpointRejectsNegativeBinding(t *testing.T) {
 	}
 	if msg := errMessage(body); !strings.Contains(msg, "negative or not finite") {
 		t.Fatalf("error %q does not explain the rejected size", msg)
+	}
+}
+
+// TestCheckpointOverflowingPointIs422: bindings whose tensor sizes are
+// finite but whose FLOPs overflow float64 answer 422 naming the field,
+// in the error envelope with the request's ID, instead of a 500 from the
+// JSON encoder.
+func TestCheckpointOverflowingPointIs422(t *testing.T) {
+	m, err := cat.Build(cat.WordLM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cat.SaveCheckpoint(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(Config{})
+	path := fmt.Sprintf("/v1/checkpoint/analyze?%s=5e152&%s=100", m.SizeSymbol, m.BatchSymbol)
+	rec, body := request(t, s, http.MethodPost, path, buf.Bytes())
+	want := "flops is +Inf: the point overflows float64"
+	if rec.Code != http.StatusUnprocessableEntity || errMessage(body) != want {
+		t.Fatalf("%d %s; want 422 with %q", rec.Code, rec.Body, want)
+	}
+	if env, _ := body["error"].(map[string]any); env["request_id"] == "" || env["request_id"] == nil {
+		t.Fatalf("error envelope has no request_id: %s", rec.Body)
+	}
+}
+
+// TestCheckpointTransposeNodes: a transpose op holds its permutation in a
+// slice, so its value cannot key the graph's FLOPs memo; graphs holding
+// transposes must still derive and answer 200 (a panic would surface as
+// the handler's 400).
+func TestCheckpointTransposeNodes(t *testing.T) {
+	g := `{"version":1,"name":"t","tensors":[
+		{"name":"x","kind":"input","dtype":"f32","shape":["b","h"]},
+		{"name":"y","kind":"activation","dtype":"f32","shape":["h","b"]},
+		{"name":"z","kind":"activation","dtype":"f32","shape":["b","h"]}],
+		"nodes":[
+		{"name":"t1","op":"transpose","attrs":{"perm":[1,0]},"inputs":["x"],"outputs":["y"]},
+		{"name":"t2","op":"transpose","attrs":{"perm":[1,0]},"inputs":["y"],"outputs":["z"]}]}`
+	s := newTestServer(Config{})
+	rec, body := request(t, s, http.MethodPost, "/v1/checkpoint/analyze?b=4&h=8", []byte(g))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("transpose checkpoint = %d %s", rec.Code, rec.Body)
+	}
+	// Each transpose reads and writes 4*8 f32 values.
+	if body["flops"].(float64) != 0 || body["bytes"].(float64) != 2*2*4*8*4 {
+		t.Fatalf("unexpected costs: %s", rec.Body)
 	}
 }
 

@@ -302,7 +302,7 @@ func Mul(args ...Expr) Expr {
 			factors = append(factors, f)
 		}
 	}
-	sort.Slice(factors, func(i, j int) bool { return factors[i].key() < factors[j].key() })
+	sortByKey(factors)
 	if len(factors) == 0 {
 		return Const(coef)
 	}
@@ -522,7 +522,7 @@ func extremum(fn string, args []Expr) Expr {
 	if len(uniq) == 1 {
 		return uniq[0]
 	}
-	sort.Slice(uniq, func(i, j int) bool { return uniq[i].key() < uniq[j].key() })
+	sortByKey(uniq)
 	c := call{fn: fn, args: uniq}
 	c.str = renderCall(c)
 	return c
@@ -662,6 +662,32 @@ func splitCoef(e Expr) (float64, Expr) {
 		return v.coef, unit
 	}
 	return 1, e
+}
+
+// sortByKey sorts es by canonical key, building each key once rather than
+// twice per comparison.
+func sortByKey(es []Expr) {
+	if len(es) < 2 {
+		return
+	}
+	keys := make([]string, len(es))
+	for i, e := range es {
+		keys[i] = e.key()
+	}
+	sort.Sort(keyOrder{keys, es})
+}
+
+// keyOrder sorts exprs by their precomputed keys.
+type keyOrder struct {
+	keys []string
+	es   []Expr
+}
+
+func (o keyOrder) Len() int           { return len(o.keys) }
+func (o keyOrder) Less(i, j int) bool { return o.keys[i] < o.keys[j] }
+func (o keyOrder) Swap(i, j int) {
+	o.keys[i], o.keys[j] = o.keys[j], o.keys[i]
+	o.es[i], o.es[j] = o.es[j], o.es[i]
 }
 
 func sortedKeys(keys []string) []string {
