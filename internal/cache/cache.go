@@ -95,7 +95,7 @@ type TrafficReport struct {
 // batched matmul, convolutions and their gradients) use the tile model; all
 // other ops stream their operands once.
 func GraphTraffic(g *graph.Graph, env symbolic.Env, tm TileModel) (TrafficReport, error) {
-	g.WarmCosts() // synchronize the per-node cost-cache fill
+	g.WarmCosts() // seal the graph so node costs read the interned expressions
 	var rep TrafficReport
 	for _, n := range g.Nodes() {
 		alg, err := n.Bytes().Eval(env)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"catamount/internal/symbolic"
 )
@@ -48,51 +49,45 @@ type Compiled struct {
 // sharing one symbol table, and flattens the wiring for the footprint
 // simulator.
 func Compile(g *Graph) *Compiled {
-	// Warm the per-node expression caches (synchronized, once per graph),
-	// then build the symbol table over every expression for deterministic
-	// slot order.
-	g.WarmCosts()
-	exprs := make([]symbolic.Expr, 0, 2*len(g.nodes)+len(g.tensors))
-	for _, n := range g.nodes {
-		exprs = append(exprs, n.FLOPs(), n.Bytes())
-	}
-	for _, t := range g.tensors {
-		exprs = append(exprs, t.Bytes())
-	}
-	syms := symbolic.SymTabFor(exprs...)
-
-	c := &Compiled{Graph: g, Syms: syms}
-	// Compile each distinct expression once, keyed by its canonical string
-	// form (canonical constructors make equal strings mean equal trees), and
-	// point every repeat at the shared program.
-	costIndex := make(map[string]int32)
-	internCost := func(e symbolic.Expr) int32 {
-		key := e.String()
-		if ix, ok := costIndex[key]; ok {
-			return ix
-		}
-		ix := int32(len(c.costProgs))
-		costIndex[key] = ix
-		c.costProgs = append(c.costProgs, symbolic.Compile(e, syms))
-		return ix
-	}
-	c.nodeFLOPIx = make([]int32, len(g.nodes))
-	c.nodeByteIx = make([]int32, len(g.nodes))
-	for i, n := range g.nodes {
-		c.nodeFLOPIx[i] = internCost(n.FLOPs())
-		c.nodeByteIx[i] = internCost(n.Bytes())
+	// WarmCosts (synchronized, once per graph) has interned every node's
+	// two costs by canonical string (canonical constructors make equal
+	// strings mean equal trees); compile each distinct expression once and
+	// share the graph's per-node indexes.
+	costs, flopIx, byteIx := g.CostIndexes()
+	// Tensors of one size number share one byte expression; distinct
+	// numbers whose expressions render alike share one program. Classes
+	// are numbered in order of first use.
+	classOf := make([]int32, len(g.sizeBytes))
+	for i := range classOf {
+		classOf[i] = -1
 	}
 	tensorIndex := make(map[string]int32)
+	var tensorExprs []symbolic.Expr
 	tensorIx := make([]int32, len(g.tensors))
 	for i, t := range g.tensors {
-		key := t.Bytes().String()
-		ix, ok := tensorIndex[key]
-		if !ok {
-			ix = int32(len(c.tensorProgs))
-			tensorIndex[key] = ix
-			c.tensorProgs = append(c.tensorProgs, symbolic.Compile(t.Bytes(), syms))
+		if classOf[t.sizeID] < 0 {
+			key := t.Bytes().String()
+			ix, ok := tensorIndex[key]
+			if !ok {
+				ix = int32(len(tensorExprs))
+				tensorIndex[key] = ix
+				tensorExprs = append(tensorExprs, t.Bytes())
+			}
+			classOf[t.sizeID] = ix
 		}
-		tensorIx[i] = ix
+		tensorIx[i] = classOf[t.sizeID]
+	}
+	// The distinct expressions hold every symbol of the graph; SymTabFor
+	// sorts the names, so the slots are as over every node and tensor.
+	syms := symbolic.SymTabFor(slices.Concat(costs, tensorExprs)...)
+
+	c := &Compiled{
+		Graph:       g,
+		Syms:        syms,
+		costProgs:   symbolic.CompileAll(costs, syms),
+		nodeFLOPIx:  flopIx,
+		nodeByteIx:  byteIx,
+		tensorProgs: symbolic.CompileAll(tensorExprs, syms),
 	}
 	c.wiring = g.flatten(tensorIx)
 	c.ParamCount = symbolic.Compile(g.ParamCount(), syms)

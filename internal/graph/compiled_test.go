@@ -132,8 +132,8 @@ func (e errorString) Error() string { return string(e) }
 
 func TestColdGraphConcurrentAnalysis(t *testing.T) {
 	// A freshly built (never analyzed) graph must be safe to analyze from
-	// several goroutines at once: WarmCosts synchronizes the per-node
-	// expression cache fill behind every graph-level entry point.
+	// several goroutines at once: WarmCosts synchronizes the cost
+	// derivation and interning behind every graph-level entry point.
 	g := buildChainGraph(64)
 	env := symbolic.Env{"h": 128}
 	var wg sync.WaitGroup

@@ -15,6 +15,8 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/maphash"
+	"math"
 	"reflect"
 	"sort"
 	"strconv"
@@ -68,23 +70,24 @@ type Tensor struct {
 	Producer  *Node
 	Consumers []*Node
 
-	// id is the tensor's index in its graph. sizeID numbers its (element
-	// size, dims) pair within the graph, so tensors of equal size share it
-	// and the derivation memo can key node costs by operand sizes. Both
-	// are int32 so a Tensor stays in its 144-byte allocation size class.
+	// g is the tensor's graph and id its index there. sizeID numbers its
+	// (element size, dims) pair within the graph, so tensors of equal size
+	// share it, their size expressions and the derivation memo's keys.
+	// Both are int32, which keeps a Tensor at 120 bytes (see tensorSlabLen).
+	g          *Graph
 	id, sizeID int32
-
-	// numel and bytes are the size expressions, shared by every tensor of
-	// the graph with the same element size and dims.
-	numel, bytes symbolic.Expr
 }
 
-// NumElements returns the symbolic element count, derived once at
-// NewTensor.
-func (t *Tensor) NumElements() symbolic.Expr { return t.numel }
+// NumElements returns the symbolic element count, derived once per
+// distinct element size and dims in the graph.
+func (t *Tensor) NumElements() symbolic.Expr { return t.g.numels[t.sizeID] }
 
-// Bytes returns the symbolic byte size, derived once at NewTensor.
-func (t *Tensor) Bytes() symbolic.Expr { return t.bytes }
+// Bytes returns the symbolic byte size, derived once per distinct element
+// size and dims in the graph.
+func (t *Tensor) Bytes() symbolic.Expr { return t.g.sizeBytes[t.sizeID] }
+
+// ID returns the tensor's position in its graph's Tensors().
+func (t *Tensor) ID() int { return int(t.id) }
 
 // Persistent reports whether the tensor outlives the training step.
 func (t *Tensor) Persistent() bool { return t.Kind == Param || t.Kind == State }
@@ -99,10 +102,11 @@ func (t *Tensor) String() string {
 // FLOPs and Bytes must depend only on the op value and, in order, on the
 // element size and dims of each input and output of n: never on names,
 // groups, kinds or wiring beyond that. The graph relies on this while it
-// is being built: nodes whose operands have equal sizes share one IOBytes
-// expression, and nodes with equal op values and operand sizes share one
-// FLOPs expression. An op value that cannot key a map (such as a struct
-// holding a slice) has its FLOPs derived per node, uncached.
+// is being built and sealed: nodes whose operands have equal sizes share
+// one IOBytes expression, and nodes with equal op values and operand
+// sizes share one FLOPs and one Bytes expression, derived once. An op
+// value that cannot key a map (such as a struct holding a slice) has its
+// costs derived per node, uncached.
 type Op interface {
 	// Kind returns the op type name, e.g. "matmul".
 	Kind() string
@@ -122,38 +126,29 @@ type Node struct {
 
 	g  *Graph
 	id int
-
-	// flopsExpr / bytesExpr cache the op-derived cost expressions, which are
-	// pure functions of the (immutable) wiring. Deriving them per query was
-	// the dominant cost of repeated graph characterization.
-	flopsExpr symbolic.Expr
-	bytesExpr symbolic.Expr
 }
 
-// FLOPs returns the node's algorithmic FLOPs, derived from the op once and
-// cached. Graph.WarmCosts fills every node's cache exactly once and seals
-// the graph, so reads after it are race-free; a call before it is an
-// unsynchronized fill meant for single-threaded graph construction, and
-// shares the expression of an earlier node with an equal op value and
-// equal operand sizes.
+// FLOPs returns the node's algorithmic FLOPs. Once Graph.WarmCosts has
+// sealed the graph it is the graph's interned expression for the node
+// (CostIndexes), and reads are race-free. Before, each call derives it
+// through the graph's derivation memo, so a node with an op value and
+// operand sizes equal to an earlier node's gets that node's expression;
+// such calls write the memo and are meant for single-threaded graph
+// construction.
 func (n *Node) FLOPs() symbolic.Expr {
-	if n.flopsExpr == nil {
-		if m := n.g.memo; m != nil {
-			n.flopsExpr = m.flopsFor(n)
-		} else {
-			n.flopsExpr = n.Op.FLOPs(n)
-		}
+	if g := n.g; g.flopIx != nil {
+		return g.costs[g.flopIx[n.id]]
 	}
-	return n.flopsExpr
+	return n.g.memo.flopsFor(n)
 }
 
-// Bytes returns the node's algorithmic bytes accessed, derived once and
-// cached under the same rules as FLOPs.
+// Bytes returns the node's algorithmic bytes accessed, under the same
+// rules as FLOPs.
 func (n *Node) Bytes() symbolic.Expr {
-	if n.bytesExpr == nil {
-		n.bytesExpr = n.Op.Bytes(n)
+	if g := n.g; g.byteIx != nil {
+		return g.costs[g.byteIx[n.id]]
 	}
-	return n.bytesExpr
+	return n.Op.Bytes(n)
 }
 
 func (n *Node) String() string {
@@ -195,17 +190,23 @@ type Graph struct {
 
 	nodes    []*Node
 	tensors  []*Tensor
-	byName   map[string]*Tensor
+	names    nameIndex
 	nameSeqs map[string]int
 
-	// sizes maps a tensor's element size and dims, keyed as in sizeFor, to
-	// the size expressions NewTensor shares; keyBuf is sizeFor's key buffer.
-	sizes  map[string]tensorSize
-	keyBuf []byte
+	// sizes numbers each distinct (element size, dims) pair of a tensor,
+	// keyed as in sizeFor; numels and sizeBytes hold the size expressions
+	// NewTensor shares, by that number. keyBuf is sizeFor's key buffer.
+	sizes             map[string]int32
+	numels, sizeBytes []symbolic.Expr
+	keyBuf            []byte
 
 	// memo shares node cost derivations among nodes of equal operand
 	// sizes. WarmCosts drops it when it seals the graph.
 	memo *deriveMemo
+
+	// nodeSlab and tensorSlab hand out the graph's nodes and tensors.
+	nodeSlab   slab[Node]
+	tensorSlab slab[Tensor]
 
 	warmOnce sync.Once
 	// sealed is set by WarmCosts: from then on the totals below and any
@@ -213,39 +214,40 @@ type Graph struct {
 	// than an Activation may be added to it.
 	sealed bool
 
-	paramCount, totalFLOPs, totalBytes, algIO symbolic.Expr
-}
+	// costs holds each distinct node cost expression once, in order of
+	// first appearance over the nodes' FLOPs and bytes in turn, and flopIx
+	// and byteIx each node's two indexes into it. WarmCosts fills them,
+	// and a Compiled bundle shares them.
+	costs          []symbolic.Expr
+	flopIx, byteIx []int32
 
-// tensorSize is the pair of size expressions tensors share, and its id.
-type tensorSize struct {
-	numel, bytes symbolic.Expr
-	id           int32
+	paramCount, totalFLOPs, totalBytes, algIO symbolic.Expr
 }
 
 // deriveMemo memoizes node cost derivation by operand sizes. An unrolled
 // recurrent graph repeats the same few operand sizes step after step, so
 // most of its nodes find their expressions here instead of rebuilding
-// them. It is filled only where the node cost cache is: during
-// single-threaded construction and inside WarmCosts.
+// them. It is filled only during single-threaded construction and inside
+// WarmCosts.
 type deriveMemo struct {
 	// sigs numbers each distinct operand signature: the input count and
 	// the ordered input and output size ids, as uvarints.
 	sigs map[string]int32
 	// io holds IOBytes by signature number, nil until derived.
 	io    []symbolic.Expr
-	flops map[flopsKey]symbolic.Expr
+	flops map[opKey]symbolic.Expr
 	buf   []byte
 }
 
-// flopsKey identifies a FLOPs derivation: the op value and the operand
+// opKey identifies a node's cost derivation: the op value and the operand
 // signature number.
-type flopsKey struct {
+type opKey struct {
 	op  Op
 	sig int32
 }
 
 func newDeriveMemo() *deriveMemo {
-	return &deriveMemo{sigs: make(map[string]int32), flops: make(map[flopsKey]symbolic.Expr)}
+	return &deriveMemo{sigs: make(map[string]int32), flops: make(map[opKey]symbolic.Expr)}
 }
 
 // signature returns the number of n's operand signature, assigning the
@@ -268,13 +270,22 @@ func (m *deriveMemo) signature(n *Node) int32 {
 	return sig
 }
 
+// key returns n's op value and operand signature number, and false if
+// the op value cannot key a map.
+func (m *deriveMemo) key(n *Node) (opKey, bool) {
+	if !reflect.ValueOf(n.Op).Comparable() {
+		return opKey{}, false
+	}
+	return opKey{n.Op, m.signature(n)}, true
+}
+
 // flopsFor returns n's FLOPs, derived once per op value and operand
 // signature. An op value that cannot key a map is derived uncached.
 func (m *deriveMemo) flopsFor(n *Node) symbolic.Expr {
-	if !reflect.ValueOf(n.Op).Comparable() {
+	k, ok := m.key(n)
+	if !ok {
 		return n.Op.FLOPs(n)
 	}
-	k := flopsKey{n.Op, m.signature(n)}
 	e, ok := m.flops[k]
 	if !ok {
 		e = n.Op.FLOPs(n)
@@ -284,11 +295,17 @@ func (m *deriveMemo) flopsFor(n *Node) symbolic.Expr {
 }
 
 // WarmCosts derives every node's FLOP and byte expressions, interns them
-// by canonical string so structurally equal costs share one expression,
-// and builds the graph totals (ParamCount, TotalFLOPs, TotalBytes,
-// AlgorithmicIO), exactly once per graph. All graph-level analysis entry
-// points call it first, making their reads race-free even when several
-// goroutines analyze the same graph concurrently.
+// by canonical string so structurally equal costs share one expression
+// and one index (CostIndexes), and builds the graph totals (ParamCount,
+// TotalFLOPs, TotalBytes, AlgorithmicIO), exactly once per graph. All
+// graph-level analysis entry points call it first, making their reads
+// race-free even when several goroutines analyze the same graph
+// concurrently.
+//
+// The totals are folded over those indexes and the tensors' size numbers
+// (symbolic.SumOf), so each distinct expression is split into terms once;
+// they render exactly as symbolic.Add over every node's or tensor's
+// expression in graph order would.
 //
 // WarmCosts seals the graph: AddNode fails afterwards, and NewTensor panics
 // for a Param, Input or State tensor, since any of them would leave the
@@ -297,116 +314,163 @@ func (m *deriveMemo) flopsFor(n *Node) symbolic.Expr {
 func (g *Graph) WarmCosts() {
 	g.warmOnce.Do(func() {
 		g.sealed = true
-		costs := make(map[string]symbolic.Expr)
-		intern := func(e symbolic.Expr) symbolic.Expr {
+		index := make(map[string]int32)
+		intern := func(e symbolic.Expr) int32 {
 			k := e.String()
-			if c, ok := costs[k]; ok {
-				return c
+			if ix, ok := index[k]; ok {
+				return ix
 			}
-			costs[k] = e
-			return e
+			ix := int32(len(g.costs))
+			index[k] = ix
+			g.costs = append(g.costs, e)
+			return ix
 		}
-		flops := make([]symbolic.Expr, len(g.nodes))
-		bytes := make([]symbolic.Expr, len(g.nodes))
+		// Nodes of one op value and operand signature have one FLOPs and
+		// one bytes expression (the Op contract), so each such pair is
+		// derived and interned once. The nodes read their costs through
+		// flopIx and byteIx once these are set, so fill local slices first.
+		type costPair struct{ flops, bytes int32 }
+		pairs := make(map[opKey]costPair)
+		flopIx := make([]int32, len(g.nodes))
+		byteIx := make([]int32, len(g.nodes))
 		for i, n := range g.nodes {
-			n.flopsExpr = intern(n.FLOPs())
-			n.bytesExpr = intern(n.Bytes())
-			flops[i], bytes[i] = n.flopsExpr, n.bytesExpr
+			k, ok := g.memo.key(n)
+			p, seen := pairs[k]
+			if !ok || !seen {
+				p = costPair{intern(n.FLOPs()), intern(n.Bytes())}
+				if ok {
+					pairs[k] = p
+				}
+			}
+			flopIx[i], byteIx[i] = p.flops, p.bytes
 		}
+		g.flopIx, g.byteIx = flopIx, byteIx
 		g.memo = nil
-		var params, io []symbolic.Expr
+		var params, io []int32
 		for _, t := range g.tensors {
 			switch t.Kind {
 			case Param:
-				params = append(params, t.numel)
+				params = append(params, t.sizeID)
 			case Input:
-				io = append(io, t.bytes)
+				io = append(io, t.sizeID)
 			}
 		}
-		g.paramCount = symbolic.Add(params...)
-		g.totalFLOPs = symbolic.Add(flops...)
-		g.totalBytes = symbolic.Add(bytes...)
-		g.algIO = symbolic.Add(io...)
+		g.paramCount = symbolic.SumOf(g.numels, params)
+		g.totalFLOPs = symbolic.SumOf(g.costs, g.flopIx)
+		g.totalBytes = symbolic.SumOf(g.costs, g.byteIx)
+		g.algIO = symbolic.SumOf(g.sizeBytes, io)
 	})
+}
+
+// CostIndexes returns the graph's distinct node cost expressions and, in
+// Nodes() order, the index of each node's FLOPs and of its bytes into
+// them. It calls WarmCosts first, so it seals the graph. Callers must not
+// modify the slices.
+func (g *Graph) CostIndexes() (costs []symbolic.Expr, flopIx, byteIx []int32) {
+	g.WarmCosts()
+	return g.costs, g.flopIx, g.byteIx
 }
 
 // New creates an empty graph.
 func New(name string) *Graph {
 	return &Graph{
 		Name:     name,
-		byName:   make(map[string]*Tensor),
+		names:    nameIndex{seed: maphash.MakeSeed()},
 		nameSeqs: make(map[string]int),
-		sizes:    make(map[string]tensorSize),
+		sizes:    make(map[string]int32),
 		memo:     newDeriveMemo(),
 	}
 }
 
-// uniqueName returns name, or name#k when name is taken.
-func (g *Graph) uniqueName(name string) string {
-	if _, ok := g.byName[name]; !ok {
-		return name
+// uniqueName returns name, or name#k when name is taken, and the hash of
+// the name it returns.
+func (g *Graph) uniqueName(name string) (string, uint32) {
+	id, h := g.names.lookup(name, g.tensors)
+	if id < 0 {
+		return name, h
 	}
 	for {
 		g.nameSeqs[name]++
-		cand := fmt.Sprintf("%s#%d", name, g.nameSeqs[name])
-		if _, ok := g.byName[cand]; !ok {
-			return cand
+		cand := name + "#" + strconv.Itoa(g.nameSeqs[name])
+		if id, h = g.names.lookup(cand, g.tensors); id < 0 {
+			return cand, h
 		}
 	}
 }
 
-// NewTensor creates and registers a tensor. Duplicate names are uniquified.
-// The tensor's NumElements and Bytes expressions are derived here, once per
-// distinct (element size, dims) in the graph. Once WarmCosts has sealed
-// the graph it panics for any kind but Activation: a late Param, Input or
-// State tensor would change a total or the resident footprint.
+// NewTensor creates and registers a tensor and returns it.
+//
+// Naming: the tensor keeps name as given, the string itself and not a
+// copy, unless the graph already holds a tensor of that name; then it is
+// named name#k, where k counts up from 1 per name, past any name#k that
+// is taken. Tensor names stay unique within a graph.
+//
+// Allocation: the Tensor comes from the graph's tensor slab, which
+// allocates 1,024 at a time, and the graph's name index grows by one
+// entry; a taken name also allocates its name#k string. The shape is
+// kept, not copied. The NumElements and Bytes expressions are derived
+// only on the first request for an (element size, dims) pair and shared
+// by every later tensor of that size.
+//
+// Once WarmCosts has sealed the graph NewTensor panics for any kind but
+// Activation: a late Param, Input or State tensor would change a total or
+// the resident footprint.
 func (g *Graph) NewTensor(name string, kind TensorKind, dt tensor.DType, shape tensor.Shape) *Tensor {
 	if g.sealed && kind != Activation {
 		panic(fmt.Errorf("graph: %s tensor %q added after WarmCosts sealed graph %q", kind, name, g.Name))
 	}
 	size := g.sizeFor(dt, shape)
-	t := &Tensor{
-		Name:   g.uniqueName(name),
+	t := g.tensorSlab.next(tensorSlabLen)
+	name, h := g.uniqueName(name)
+	*t = Tensor{
+		Name:   name,
 		Kind:   kind,
 		DType:  dt,
 		Shape:  shape,
+		g:      g,
 		id:     int32(len(g.tensors)),
-		sizeID: size.id,
-		numel:  size.numel,
-		bytes:  size.bytes,
+		sizeID: size,
 	}
 	g.tensors = append(g.tensors, t)
-	g.byName[t.Name] = t
+	g.names.add(h, t.id)
 	return t
 }
 
-// sizeFor returns the size expressions for dtype dt and shape, built on
-// the first request for that element size and those dims and numbered in
-// order of first request. The key joins the element size and each dim's
-// canonical string with NUL separators.
-func (g *Graph) sizeFor(dt tensor.DType, shape tensor.Shape) tensorSize {
-	key := strconv.AppendInt(g.keyBuf[:0], int64(dt.Size()), 10)
+// sizeFor returns the number of dtype dt's element size and shape's dims,
+// numbered in order of first request, deriving the size expressions on
+// that first request. The key is the element size as a uvarint, then per
+// dim either 'c' and the constant's eight IEEE 754 bytes, so constant dims
+// are never formatted, or 's', the length of the dim's canonical string as
+// a uvarint, and the string. Each dim's encoding is prefix-free, so the
+// key is injective.
+func (g *Graph) sizeFor(dt tensor.DType, shape tensor.Shape) int32 {
+	key := binary.AppendUvarint(g.keyBuf[:0], uint64(dt.Size()))
 	for _, d := range shape {
-		key = append(key, 0)
-		key = append(key, d.String()...)
+		if c, ok := symbolic.IsConst(d); ok {
+			key = binary.LittleEndian.AppendUint64(append(key, 'c'), math.Float64bits(c))
+			continue
+		}
+		s := d.String()
+		key = binary.AppendUvarint(append(key, 's'), uint64(len(s)))
+		key = append(key, s...)
 	}
 	g.keyBuf = key
-	if s, ok := g.sizes[string(key)]; ok {
-		return s
+	if id, ok := g.sizes[string(key)]; ok {
+		return id
 	}
 	numel := shape.NumElements()
-	s := tensorSize{
-		numel: numel,
-		bytes: symbolic.Mul(numel, symbolic.C(float64(dt.Size()))),
-		id:    int32(len(g.sizes)),
-	}
-	g.sizes[string(key)] = s
-	return s
+	id := int32(len(g.numels))
+	g.numels = append(g.numels, numel)
+	g.sizeBytes = append(g.sizeBytes, symbolic.Mul(numel, symbolic.C(float64(dt.Size()))))
+	g.sizes[string(key)] = id
+	return id
 }
 
 // AddNode creates a node wiring inputs to outputs. Every tensor must have
 // been created by g's NewTensor, each output must not already have a
-// producer, and the graph must not be sealed by WarmCosts.
+// producer, and the graph must not be sealed by WarmCosts. The node comes
+// from the graph's node slab, which allocates 512 at a time; the graph
+// keeps name and the two slices, not copies.
 func (g *Graph) AddNode(name, group string, op Op, inputs, outputs []*Tensor) (*Node, error) {
 	if g.sealed {
 		return nil, fmt.Errorf("graph: node %q added after WarmCosts sealed graph %q", name, g.Name)
@@ -418,7 +482,8 @@ func (g *Graph) AddNode(name, group string, op Op, inputs, outputs []*Tensor) (*
 			}
 		}
 	}
-	n := &Node{
+	n := g.nodeSlab.next(nodeSlabLen)
+	*n = Node{
 		Name:    name,
 		Op:      op,
 		Group:   group,
@@ -467,8 +532,10 @@ func (g *Graph) Tensors() []*Tensor { return g.tensors }
 
 // TensorByName looks up a tensor by exact name.
 func (g *Graph) TensorByName(name string) (*Tensor, bool) {
-	t, ok := g.byName[name]
-	return t, ok
+	if id, _ := g.names.lookup(name, g.tensors); id >= 0 {
+		return g.tensors[id], true
+	}
+	return nil, false
 }
 
 // Params returns all trainable parameter tensors.
@@ -581,22 +648,20 @@ func (g *Graph) TopoOrder() ([]*Node, error) {
 			}
 		}
 	}
-	queue := make([]*Node, 0, len(g.nodes))
+	// order doubles as the queue: order[:head] is emitted, order[head:]
+	// is ready, and each node enters it once.
+	order := make([]*Node, 0, len(g.nodes))
 	for _, n := range g.nodes {
 		if indeg[n.id] == 0 {
-			queue = append(queue, n)
+			order = append(order, n)
 		}
 	}
-	order := make([]*Node, 0, len(g.nodes))
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		order = append(order, n)
-		for _, out := range n.Outputs {
+	for head := 0; head < len(order); head++ {
+		for _, out := range order[head].Outputs {
 			for _, c := range out.Consumers {
 				indeg[c.id]--
 				if indeg[c.id] == 0 {
-					queue = append(queue, c)
+					order = append(order, c)
 				}
 			}
 		}

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -142,6 +144,41 @@ func TestUniqueTensorNames(t *testing.T) {
 	}
 	if _, ok := g.TensorByName(b.Name); !ok {
 		t.Fatal("uniquified tensor not registered")
+	}
+}
+
+// TestNameIndex grows the name index through several doublings and
+// checks every name against a plain map: lookups find each tensor, absent
+// names miss, and a taken name gets the next free name#k, past names#k
+// that were taken explicitly.
+func TestNameIndex(t *testing.T) {
+	g := newTestGraph(t)
+	want := make(map[string]*Tensor)
+	add := func(name, wantName string) {
+		t.Helper()
+		tn := g.NewTensor(name, Activation, tensor.F32, tensor.Of(1))
+		if tn.Name != wantName {
+			t.Fatalf("NewTensor(%q) named %q, want %q", name, tn.Name, wantName)
+		}
+		want[tn.Name] = tn
+	}
+	for i := 0; i < 5000; i++ {
+		add(fmt.Sprintf("t%d", i), fmt.Sprintf("t%d", i))
+	}
+	add("x", "x")
+	add("x#2", "x#2")
+	add("x", "x#1")
+	add("x", "x#3")
+	add("x#1", "x#1#1")
+	for name, tn := range want {
+		if got, ok := g.TensorByName(name); !ok || got != tn {
+			t.Fatalf("TensorByName(%q) = %v, %v", name, got, ok)
+		}
+	}
+	for _, name := range []string{"", "t5000", "x#4", "t1#1"} {
+		if got, ok := g.TensorByName(name); ok {
+			t.Fatalf("TensorByName(%q) found %v", name, got)
+		}
 	}
 }
 
@@ -396,5 +433,25 @@ func TestGroupAccounting(t *testing.T) {
 	names := SortedGroupNames(fp)
 	if len(names) != 2 || names[0] != "embed" {
 		t.Fatalf("sorted names = %v", names)
+	}
+}
+
+// TestSlabsArePageAligned keeps each node and tensor slab a whole number
+// of the runtime's 8 KiB pages. A block that ends mid-page wastes the rest
+// of that page in every graph; pick a new slab length when a field changes
+// the size of Node or Tensor.
+func TestSlabsArePageAligned(t *testing.T) {
+	const page = 8192
+	for _, c := range []struct {
+		name string
+		size uintptr
+		n    int
+	}{
+		{"Node", reflect.TypeFor[Node]().Size(), nodeSlabLen},
+		{"Tensor", reflect.TypeFor[Tensor]().Size(), tensorSlabLen},
+	} {
+		if bytes := int(c.size) * c.n; bytes%page != 0 {
+			t.Errorf("%d %ss of %d bytes take %d bytes, %.2f pages", c.n, c.name, c.size, bytes, float64(bytes)/page)
+		}
 	}
 }

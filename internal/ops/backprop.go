@@ -25,16 +25,16 @@ func Backprop(b *Builder, loss *graph.Tensor, opt SGDMomentum) error {
 		return err
 	}
 
-	grads := make(map[*graph.Tensor]*graph.Tensor)
+	grads := make(gradTable, len(g.Tensors()))
 	accumulate := func(group string, t, partial *graph.Tensor) {
-		if prev, ok := grads[t]; ok {
+		if prev := grads.of(t); prev != nil {
 			sum := g.NewTensor("d:"+t.Name+":acc", graph.Activation, t.DType, t.Shape)
 			g.MustAddNode("bwd/acc:"+t.Name, group, GradAccum{},
 				[]*graph.Tensor{prev, partial}, []*graph.Tensor{sum})
-			grads[t] = sum
+			grads[t.ID()] = sum
 			return
 		}
-		grads[t] = partial
+		grads[t.ID()] = partial
 	}
 	newGrad := func(t *graph.Tensor) *graph.Tensor {
 		return g.NewTensor("d:"+t.Name, graph.Activation, t.DType, t.Shape)
@@ -43,7 +43,7 @@ func Backprop(b *Builder, loss *graph.Tensor, opt SGDMomentum) error {
 	// Seed: d(loss)/d(loss) = 1.
 	seed := newGrad(loss)
 	g.MustAddNode("bwd/seed", loss.Group, Fill{Value: 1}, nil, []*graph.Tensor{seed})
-	grads[loss] = seed
+	grads[loss.ID()] = seed
 
 	for i := len(forward) - 1; i >= 0; i-- {
 		n := forward[i]
@@ -54,8 +54,8 @@ func Backprop(b *Builder, loss *graph.Tensor, opt SGDMomentum) error {
 
 	// Optimizer updates.
 	for _, p := range g.Params() {
-		gr, ok := grads[p]
-		if !ok {
+		gr := grads.of(p)
+		if gr == nil {
 			return fmt.Errorf("ops: parameter %q received no gradient", p.Name)
 		}
 		mom := g.NewTensor("mom:"+p.Name, graph.State, p.DType, p.Shape)
@@ -66,8 +66,15 @@ func Backprop(b *Builder, loss *graph.Tensor, opt SGDMomentum) error {
 	return nil
 }
 
+// gradTable maps each forward tensor, by its ID, to its gradient so far.
+// Backprop sizes it to the forward graph: only forward tensors are keys.
+type gradTable []*graph.Tensor
+
+// of returns t's gradient so far, nil if it has none.
+func (gt gradTable) of(t *graph.Tensor) *graph.Tensor { return gt[t.ID()] }
+
 // backwardNode emits the backward ops for one forward node.
-func backwardNode(b *Builder, n *graph.Node, grads map[*graph.Tensor]*graph.Tensor,
+func backwardNode(b *Builder, n *graph.Node, grads gradTable,
 	accumulate func(string, *graph.Tensor, *graph.Tensor), newGrad func(*graph.Tensor) *graph.Tensor) error {
 
 	g := b.G
@@ -76,7 +83,7 @@ func backwardNode(b *Builder, n *graph.Node, grads map[*graph.Tensor]*graph.Tens
 	// Gradient of the primary output (most ops have exactly one).
 	var dY *graph.Tensor
 	if len(n.Outputs) > 0 {
-		dY = grads[n.Outputs[0]]
+		dY = grads.of(n.Outputs[0])
 	}
 
 	switch op := n.Op.(type) {
@@ -212,7 +219,7 @@ func backwardNode(b *Builder, n *graph.Node, grads map[*graph.Tensor]*graph.Tens
 	case SoftmaxXent:
 		// Outputs: (loss, probs). Gradient flows from loss to logits via the
 		// saved probs; labels get no gradient.
-		dLoss := grads[n.Outputs[0]]
+		dLoss := grads.of(n.Outputs[0])
 		if dLoss == nil {
 			return nil
 		}
@@ -276,7 +283,7 @@ func backwardNode(b *Builder, n *graph.Node, grads map[*graph.Tensor]*graph.Tens
 		parts := make([]*graph.Tensor, len(n.Outputs))
 		any := false
 		for i, out := range n.Outputs {
-			if gp := grads[out]; gp != nil {
+			if gp := grads.of(out); gp != nil {
 				parts[i] = gp
 				any = true
 			}
@@ -342,18 +349,20 @@ func unaryGradCost(fn string) float64 {
 
 // ForwardBackwardFLOPs returns the symbolic FLOP totals of the forward and
 // backward (including optimizer) node populations, for callers that compile
-// the split once and evaluate it per sweep point.
+// the split once and evaluate it per sweep point. Each is folded over the
+// graph's cost indexes (symbolic.SumOf), so it renders as symbolic.Add
+// over its nodes' FLOPs in node order.
 func ForwardBackwardFLOPs(g *graph.Graph) (fwd, bwd symbolic.Expr) {
-	g.WarmCosts() // synchronize the per-node cost-cache fill
-	var fwdTerms, bwdTerms []symbolic.Expr
-	for _, n := range g.Nodes() {
+	costs, flopIx, _ := g.CostIndexes() // seals the graph and syncs the cost fill
+	var fwdIx, bwdIx []int32
+	for i, n := range g.Nodes() {
 		if isBackwardNode(n) {
-			bwdTerms = append(bwdTerms, n.FLOPs())
+			bwdIx = append(bwdIx, flopIx[i])
 		} else {
-			fwdTerms = append(fwdTerms, n.FLOPs())
+			fwdIx = append(fwdIx, flopIx[i])
 		}
 	}
-	return symbolic.Add(fwdTerms...), symbolic.Add(bwdTerms...)
+	return symbolic.SumOf(costs, fwdIx), symbolic.SumOf(costs, bwdIx)
 }
 
 // ForwardBackwardSplit evaluates FLOPs separately for forward and backward

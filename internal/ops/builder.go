@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"strconv"
 
 	"catamount/internal/graph"
 	"catamount/internal/symbolic"
@@ -11,6 +12,17 @@ import (
 // Builder constructs compute graphs with shape inference over symbolic
 // dimensions. Shape violations panic: builders run at model-definition time,
 // where a bad wiring is a programming error.
+//
+// Naming: an op method names its output tensors and then its node, each
+// from the next sequence number: the node group/kind_seq and each output
+// group/kind_seq:out, where group is the current Group and seq counts
+// every name made so far, from 1 (Split's outputs use kind split0, split1,
+// ...). Input, Param and Zeros keep the caller's tensor name. Names reach
+// the graph unchanged, except that NewTensor suffixes a taken tensor name
+// with #k.
+//
+// Allocation: names are written with strconv into one buffer the builder
+// reuses, so each name costs one allocation, its string.
 type Builder struct {
 	// G is the graph under construction.
 	G *graph.Graph
@@ -19,6 +31,7 @@ type Builder struct {
 
 	group string
 	seq   int
+	name  []byte // buffer for the next name
 }
 
 // NewBuilder creates a builder for a new empty graph.
@@ -30,23 +43,34 @@ func NewBuilder(name string) *Builder {
 // and parameters (used by layer-parallelism planning).
 func (b *Builder) Group(name string) { b.group = name }
 
-func (b *Builder) nodeName(kind string) string {
+// nextName writes the next name, group/kind_seq, into the name buffer and
+// returns the buffer.
+func (b *Builder) nextName(kind string) []byte {
 	b.seq++
-	return fmt.Sprintf("%s/%s_%d", b.group, kind, b.seq)
+	buf := append(b.name[:0], b.group...)
+	buf = append(append(append(buf, '/'), kind...), '_')
+	b.name = strconv.AppendInt(buf, int64(b.seq), 10)
+	return b.name
+}
+
+// outName returns the next name with ":out" appended: an output tensor's.
+func (b *Builder) outName(kind string) string {
+	b.name = append(b.nextName(kind), ":out"...)
+	return string(b.name)
 }
 
 func (b *Builder) act(kind string, shape tensor.Shape) *graph.Tensor {
-	return b.G.NewTensor(b.nodeName(kind)+":out", graph.Activation, b.DType, shape)
+	return b.G.NewTensor(b.outName(kind), graph.Activation, b.DType, shape)
 }
 
 // actLike creates an activation preserving the dtype of an existing tensor
 // (shape ops such as split/concat/reshape/transpose must not change dtype).
 func (b *Builder) actLike(kind string, shape tensor.Shape, like *graph.Tensor) *graph.Tensor {
-	return b.G.NewTensor(b.nodeName(kind)+":out", graph.Activation, like.DType, shape)
+	return b.G.NewTensor(b.outName(kind), graph.Activation, like.DType, shape)
 }
 
 func (b *Builder) add(kind string, op graph.Op, in []*graph.Tensor, out []*graph.Tensor) *graph.Node {
-	return b.G.MustAddNode(b.nodeName(kind), b.group, op, in, out)
+	return b.G.MustAddNode(string(b.nextName(kind)), b.group, op, in, out)
 }
 
 // Input declares a training-data input tensor.
@@ -212,7 +236,7 @@ func (b *Builder) Split(x *graph.Tensor, axis, n int) []*graph.Tensor {
 	outShape[axis] = partDim
 	outs := make([]*graph.Tensor, n)
 	for i := range outs {
-		outs[i] = b.actLike(fmt.Sprintf("split%d", i), outShape, x)
+		outs[i] = b.actLike("split"+strconv.Itoa(i), outShape, x)
 	}
 	b.add("split", Split{Axis: axis, N: n}, []*graph.Tensor{x}, outs)
 	return outs
@@ -311,12 +335,12 @@ func (b *Builder) reduce(x *graph.Tensor, keepDims int, mean bool) *graph.Tensor
 
 // Reshape reinterprets x with a new shape of identical element count.
 func (b *Builder) Reshape(x *graph.Tensor, dims ...any) *graph.Tensor {
-	newShape := tensor.Of(dims...)
-	if !symbolic.Equal(x.Shape.NumElements(), newShape.NumElements()) {
-		shapePanic("reshape: element count %v != %v",
-			x.Shape.NumElements(), newShape.NumElements())
+	// The tensors' element counts are derived once per size, so compare
+	// those rather than building two products per reshape.
+	out := b.actLike("reshape", tensor.Of(dims...), x)
+	if !symbolic.Equal(x.NumElements(), out.NumElements()) {
+		shapePanic("reshape: element count %v != %v", x.NumElements(), out.NumElements())
 	}
-	out := b.actLike("reshape", newShape, x)
 	b.add("reshape", Reshape{}, []*graph.Tensor{x}, []*graph.Tensor{out})
 	return out
 }

@@ -89,7 +89,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 			sts = append(sts, st)
 		}
 	}
-	writeJSON(w, map[string]any{"jobs": sts, "count": len(sts)})
+	writeJSON(w, r, map[string]any{"jobs": sts, "count": len(sts)})
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -98,7 +98,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		s.jobError(w, r, err)
 		return
 	}
-	writeJSON(w, st)
+	writeJSON(w, r, st)
 }
 
 // handleJobDelete cancels an active job (the job transitions to cancelled,
@@ -115,7 +115,7 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 			s.jobError(w, r, err)
 			return
 		}
-		writeJSON(w, map[string]any{"id": id, "deleted": true})
+		writeJSON(w, r, map[string]any{"id": id, "deleted": true})
 		return
 	}
 	if _, err := s.jobsSvc.Cancel(id); err != nil {
@@ -127,7 +127,7 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 		s.jobError(w, r, err)
 		return
 	}
-	writeJSON(w, st)
+	writeJSON(w, r, st)
 }
 
 // ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
 		for i, line := range pg.Lines {
 			pts[i] = json.RawMessage(line)
 		}
-		writeJSON(w, jobResultsJSON{
+		writeJSON(w, r, jobResultsJSON{
 			JobID:       pg.JobID,
 			State:       pg.State,
 			Start:       pg.Start,

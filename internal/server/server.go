@@ -564,9 +564,9 @@ type healthResponse struct {
 	ResponseCache int            `json:"response_cache_entries"`
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	rev, modified := buildRevision()
-	writeJSON(w, healthResponse{
+	writeJSON(w, r, healthResponse{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		GoVersion:     runtime.Version(),
@@ -589,26 +589,26 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.writePrometheus(w)
 }
 
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.Metrics())
+func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, r, s.Metrics())
 }
 
-func (s *Server) handleDomains(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleDomains(w http.ResponseWriter, r *http.Request) {
 	out := make([]string, 0, len(cat.Domains()))
 	for _, d := range cat.Domains() {
 		out = append(out, string(d))
 	}
-	writeJSON(w, map[string]any{"domains": out})
+	writeJSON(w, r, map[string]any{"domains": out})
 }
 
-func (s *Server) handleAccelerators(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, map[string]any{"accelerators": hw.Catalog(), "aliases": hw.Aliases()})
+func (s *Server) handleAccelerators(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, r, map[string]any{"accelerators": hw.Catalog(), "aliases": hw.Aliases()})
 }
 
 // handleCostModels lists the step-time backends with their aliases, so
 // clients can discover what the "costmodel" request field accepts.
-func (s *Server) handleCostModels(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, map[string]any{"costmodels": costmodel.Infos()})
+func (s *Server) handleCostModels(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, r, map[string]any{"costmodels": costmodel.Infos()})
 }
 
 // analyzeResponse is one characterization plus its Roofline estimate under
@@ -1018,7 +1018,7 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 			apiError(w, r, res.status, res.errMsg)
 			return
 		}
-		writeJSON(w, res.resp)
+		writeJSON(w, r, res.resp)
 	case <-r.Context().Done():
 		s.timeouts.Add(1)
 		apiError(w, r, http.StatusGatewayTimeout, "request deadline exceeded")
@@ -1105,10 +1105,12 @@ func parseSchedulePolicy(raw string) (graph.SchedulePolicy, error) {
 	return 0, fmt.Errorf("unknown schedule policy %q (fifo, mem-greedy)", raw)
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON answers r with v as JSON, or, if v cannot be encoded, with a
+// 500 envelope that carries r's request ID.
+func writeJSON(w http.ResponseWriter, r *http.Request, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
-		apiError(w, nil, http.StatusInternalServerError, err.Error())
+		apiError(w, r, http.StatusInternalServerError, err.Error())
 		return
 	}
 	writeJSONBytes(w, b)
@@ -1128,19 +1130,13 @@ func writeJSONBytes(w http.ResponseWriter, b []byte) {
 //
 // The code derives from the status (api.CodeForStatus) and the request ID
 // from r's context (ServeHTTP tags it before dispatch), so a client error
-// body alone is enough to find the matching server trace. r may be nil on
-// the rare paths without a request in hand; the envelope then simply omits
-// request_id.
+// body alone is enough to find the matching server trace.
 func apiError(w http.ResponseWriter, r *http.Request, status int, msg string) {
-	var rid string
-	if r != nil {
-		rid = obs.RequestID(r.Context())
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(api.ErrorResponse{Error: api.Error{
 		Code:      api.CodeForStatus(status),
 		Message:   msg,
-		RequestID: rid,
+		RequestID: obs.RequestID(r.Context()),
 	}})
 }

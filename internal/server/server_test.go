@@ -13,6 +13,7 @@ import (
 	"time"
 
 	cat "catamount"
+	"catamount/internal/obs"
 )
 
 // sharedEngine keeps model build+compile cost to once for the whole test
@@ -688,5 +689,23 @@ func TestFigureEndpoints(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("figure %s = %d %s", fig, rec.Code, rec.Body)
 		}
+	}
+}
+
+// TestWriteJSONEncodingFailureKeepsRequestID: a value json cannot encode
+// (+Inf) is answered with a 500 envelope that still names the request.
+func TestWriteJSONEncodingFailureKeepsRequestID(t *testing.T) {
+	req := httptest.NewRequest(http.MethodGet, "/v1/analyze", nil)
+	req = req.WithContext(obs.WithRequestID(req.Context(), "rid-inf"))
+	rec := httptest.NewRecorder()
+	writeJSON(rec, req, map[string]float64{"flops": math.Inf(1)})
+	var body map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("%d %s: %v", rec.Code, rec.Body, err)
+	}
+	env, _ := body["error"].(map[string]any)
+	if rec.Code != http.StatusInternalServerError || env["request_id"] != "rid-inf" ||
+		!strings.Contains(errMessage(body), "unsupported value: +Inf") {
+		t.Fatalf("%d %s; want 500 with request_id rid-inf and the encoder's message", rec.Code, rec.Body)
 	}
 }

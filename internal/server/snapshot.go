@@ -258,5 +258,5 @@ func (s *Server) handleWarmup(w http.ResponseWriter, r *http.Request) {
 			resp.Failures = append(resp.Failures, warmupResult{Path: p, Status: status})
 		}
 	}
-	writeJSON(w, resp)
+	writeJSON(w, r, resp)
 }

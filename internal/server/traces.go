@@ -49,7 +49,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	traces := obs.Flight.List(q.Get("route"), minDur, limit)
-	writeJSON(w, tracesResponse{
+	writeJSON(w, r, tracesResponse{
 		Traces:         traces,
 		Count:          len(traces),
 		SlowestByStage: obs.Default.StageSlowestTraces(),
@@ -72,7 +72,7 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	}
 	switch format {
 	case "", "tree", "json":
-		writeJSON(w, tr.Export())
+		writeJSON(w, r, tr.Export())
 	case "perfetto", "chrome", "trace-event":
 		w.Header().Set("Content-Type", "application/json")
 		if err := tr.WriteTraceEvents(w); err != nil {

@@ -16,6 +16,8 @@ package symbolic
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -116,39 +118,87 @@ type add struct {
 // Add returns the canonical sum of the arguments. Like terms are collected:
 // Add(x, x, C(2)) == Mul(C(2), x) + 2.
 func Add(args ...Expr) Expr {
-	type bucket struct {
-		coef float64
-		unit Expr // product part with coefficient 1; nil for pure constant
-	}
-	buckets := make(map[string]*bucket)
-	order := make([]string, 0, len(args))
-	var push func(e Expr)
-	push = func(e Expr) {
-		if a, ok := e.(add); ok {
-			for _, t := range a.terms {
-				push(t)
-			}
-			return
-		}
-		coef, unit := splitCoef(e)
-		k := ""
-		if unit != nil {
-			k = unit.key()
-		}
-		b, ok := buckets[k]
-		if !ok {
-			b = &bucket{unit: unit}
-			buckets[k] = b
-			order = append(order, k)
-		}
-		b.coef += coef
-	}
+	s := sum{index: make(map[string]int32, len(args))}
+	var ts []term
 	for _, a := range args {
-		push(a)
+		ts = s.split(a, ts[:0])
+		s.fold(ts)
 	}
-	terms := make([]Expr, 0, len(buckets))
-	for _, k := range sortedKeys(order) {
-		b := buckets[k]
+	return s.expr()
+}
+
+// SumOf returns Add(exprs[ix[0]], exprs[ix[1]], ...), rendered
+// identically, for long sums drawn from a few distinct expressions, such
+// as a graph's per-node costs: each distinct expression is split into its
+// like-term buckets once, however often ix names it, and each bucket sums
+// its coefficients in argument order, as Add's do.
+func SumOf(exprs []Expr, ix []int32) Expr {
+	s := sum{index: make(map[string]int32)}
+	split := make([][]term, len(exprs))
+	for _, i := range ix {
+		if split[i] == nil {
+			split[i] = s.split(exprs[i], make([]term, 0, 1))
+		}
+		s.fold(split[i])
+	}
+	return s.expr()
+}
+
+// sum collects like terms for Add and SumOf: one bucket per distinct
+// unit-coefficient product, holding the sum of its coefficients.
+type sum struct {
+	index   map[string]int32 // bucket key → position in buckets
+	buckets []bucket
+}
+
+type bucket struct {
+	key  string // unit's key; "" for the constant term
+	unit Expr   // product part with coefficient 1; nil for the constant term
+	coef float64
+}
+
+// term is one additive term: its bucket and its coefficient.
+type term struct {
+	bucket int32
+	coef   float64
+}
+
+// split appends e's additive terms to ts, nested sums flattened, opening a
+// bucket for each unit not seen before.
+func (s *sum) split(e Expr, ts []term) []term {
+	if a, ok := e.(add); ok {
+		for _, t := range a.terms {
+			ts = s.split(t, ts)
+		}
+		return ts
+	}
+	coef, unit := splitCoef(e)
+	k := ""
+	if unit != nil {
+		k = unit.key()
+	}
+	b, ok := s.index[k]
+	if !ok {
+		b = int32(len(s.buckets))
+		s.index[k] = b
+		s.buckets = append(s.buckets, bucket{key: k, unit: unit})
+	}
+	return append(ts, term{bucket: b, coef: coef})
+}
+
+// fold adds each term's coefficient into its bucket, in order.
+func (s *sum) fold(ts []term) {
+	for _, t := range ts {
+		s.buckets[t.bucket].coef += t.coef
+	}
+}
+
+// expr returns the canonical sum of the buckets: the nonzero ones in key
+// order. It reorders the buckets, so s takes no terms afterwards.
+func (s *sum) expr() Expr {
+	slices.SortFunc(s.buckets, func(a, b bucket) int { return strings.Compare(a.key, b.key) })
+	terms := make([]Expr, 0, len(s.buckets))
+	for _, b := range s.buckets {
 		if b.coef == 0 {
 			continue
 		}
@@ -290,7 +340,13 @@ func Mul(args ...Expr) Expr {
 	factors := make([]Expr, 0, len(entries))
 	for _, k := range sortedKeys(mapKeys(entries)) {
 		en := entries[k]
-		f := Pow(en.base, Add(en.exp...))
+		// A lone exponent is a canonical expression, which Add would
+		// only rebuild.
+		exp := en.exp[0]
+		if len(en.exp) > 1 {
+			exp = Add(en.exp...)
+		}
+		f := Pow(en.base, exp)
 		switch fv := f.(type) {
 		case Const:
 			coef *= float64(fv)
@@ -705,8 +761,18 @@ func mapKeys[V any](m map[string]V) []string {
 	return out
 }
 
-// Equal reports whether two expressions have identical canonical forms.
-func Equal(a, b Expr) bool { return a.key() == b.key() }
+// Equal reports whether two expressions have identical canonical forms,
+// that is equal keys, without building the keys: a key is the
+// expression's type tag and its canonical string. A constant renders as
+// its shortest round-tripping form, so two constants render alike exactly
+// when their bits are equal or both are NaN, and no string is formatted.
+func Equal(a, b Expr) bool {
+	if ca, ok := a.(Const); ok {
+		cb, ok := b.(Const)
+		return ok && (math.Float64bits(float64(ca)) == math.Float64bits(float64(cb)) || ca != ca && cb != cb)
+	}
+	return reflect.TypeOf(a) == reflect.TypeOf(b) && a.String() == b.String()
+}
 
 // Symbols returns the sorted list of symbol names appearing in e.
 func Symbols(e Expr) []string {
