@@ -210,24 +210,43 @@ func batchOf(rows []Costs) *CostsBatch {
 	return c
 }
 
-// TestSubbatchSweepMatchesHW: with the graph backend the costmodel sweep
-// reproduces hw.SubbatchSweep point-for-point, footprints aside (the
-// costmodel sweep evaluates none).
+// subbatchSweepRef is the reference sweep: each subbatch's FLOPs and bytes
+// from eval, priced one point at a time by the accelerator's roofline,
+// with zero intensity for a zero-byte step.
+func subbatchSweepRef(eval func(b float64) (flops, bytes float64), acc hw.Accelerator, subbatches []float64) []hw.SubbatchPoint {
+	out := make([]hw.SubbatchPoint, 0, len(subbatches))
+	for _, b := range subbatches {
+		f, by := eval(b)
+		t := acc.StepTime(f, by)
+		intensity := 0.0
+		if by > 0 {
+			intensity = f / by
+		}
+		out = append(out, hw.SubbatchPoint{
+			Subbatch:      b,
+			FLOPs:         f,
+			Bytes:         by,
+			Intensity:     intensity,
+			StepTime:      t,
+			TimePerSample: t / b,
+			Utilization:   acc.Utilization(f, t),
+		})
+	}
+	return out
+}
+
+// TestSubbatchSweepMatchesHW: with the graph backend the batched sweep
+// reproduces the point-at-a-time roofline sweep (subbatchSweepRef) point
+// for point.
 func TestSubbatchSweepMatchesHW(t *testing.T) {
 	acc := hw.TargetAccelerator()
-	hwEval := func(b float64) (float64, float64, float64, error) {
-		return 2e9 * b, 1e9 + 5e7*b, 0, nil
-	}
+	eval := func(b float64) (float64, float64) { return 2e9 * b, 1e9 + 5e7*b }
 	subbatches := hw.PowersOfTwo(10)
 	var rows []Costs
 	for _, b := range subbatches {
-		f, by, _, _ := hwEval(b)
-		rows = append(rows, GraphCosts(f, by))
+		rows = append(rows, GraphCosts(eval(b)))
 	}
-	want, err := hw.SubbatchSweep(hwEval, acc, subbatches)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := subbatchSweepRef(eval, acc, subbatches)
 	got := SubbatchSweep(batchOf(rows), subbatches, acc, GraphRoofline{})
 	if len(got) != len(want) {
 		t.Fatalf("length %d != %d", len(got), len(want))

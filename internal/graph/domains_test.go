@@ -1,13 +1,17 @@
 package graph_test
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"catamount/internal/graph"
 	"catamount/internal/models"
 	"catamount/internal/symbolic"
+	"catamount/internal/tensor"
 )
 
 // domainModels holds each domain's model, built on first use, so the
@@ -120,5 +124,112 @@ func BenchmarkFootprintDomains(b *testing.B) {
 			nodeRows := float64(b.N) * float64(rows) * float64(len(m.Graph.Nodes()))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/nodeRows, "ns/node-row")
 		})
+	}
+}
+
+// distinctKeyGraph builds n nodes that are all ready at once and whose
+// tensor sizes are pairwise distinct: node i reads graph input x_i and
+// writes a_i, so its mem-greedy key, size(a_i) − size(x_i), differs from
+// every other node's, in shuffled order. An uploaded checkpoint can take
+// this shape; it sends every key past the ready set's buckets into its
+// overflow heap.
+func distinctKeyGraph(n int) *graph.Graph {
+	g := graph.New("distinct-keys")
+	perm := rand.New(rand.NewSource(1)).Perm(n)
+	for i := 0; i < n; i++ {
+		in := float64(2*i + 1)
+		x := g.NewTensor(fmt.Sprintf("x%d", i), graph.Input, tensor.F32, tensor.Of(in))
+		a := g.NewTensor(fmt.Sprintf("a%d", i), graph.Activation, tensor.F32, tensor.Of(in+float64(2*n*(perm[i]+1))))
+		g.MustAddNode(fmt.Sprintf("n%d", i), "", copyOp{}, []*graph.Tensor{x}, []*graph.Tensor{a})
+	}
+	return g
+}
+
+// copyOp is an op that moves its operands and computes nothing.
+type copyOp struct{}
+
+func (copyOp) Kind() string                      { return "copy" }
+func (copyOp) FLOPs(*graph.Node) symbolic.Expr   { return symbolic.C(0) }
+func (copyOp) Bytes(n *graph.Node) symbolic.Expr { return graph.IOBytes(n) }
+
+const distinctKeyNodes = 50_000
+
+// TestFootprintDistinctKeysAllocBound bounds what one Compiled.Footprint,
+// the checkpoint upload's call, allocates on the distinct-key graph: at
+// most 263 bytes per node under either policy, twice the 131.7 that the
+// heap-only ready set allocated on this graph. The results must match the
+// oracle.
+func TestFootprintDistinctKeysAllocBound(t *testing.T) {
+	g := distinctKeyGraph(distinctKeyNodes)
+	c := graph.Compile(g)
+	slots := c.NewSlots()
+	bytes := make([]float64, len(g.Tensors()))
+	for i, tn := range g.Tensors() {
+		bytes[i] = symbolic.MustEval(tn.Bytes(), nil)
+	}
+	for _, policy := range []graph.SchedulePolicy{graph.PolicyFIFO, graph.PolicyMemGreedy} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := c.Footprint(slots, policy)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perNode := float64(after.TotalAlloc-before.TotalAlloc) / distinctKeyNodes
+		t.Logf("%v: %.1f bytes per node", policy, perNode)
+		if perNode > 263 {
+			t.Fatalf("%v: Compiled.Footprint allocates %.1f bytes per node, over 263", policy, perNode)
+		}
+		graph.CheckFootprint(t, g, bytes, policy, got)
+	}
+}
+
+// BenchmarkFootprintDistinctKeys times FootprintFromBatch on the
+// distinct-key graph under both policies, reported per graph node.
+func BenchmarkFootprintDistinctKeys(b *testing.B) {
+	c := graph.Compile(distinctKeyGraph(distinctKeyNodes))
+	var es symbolic.BatchScratch
+	uniq := c.TensorBytesBatch(c.NewBatch(1), nil, &es)
+	for _, policy := range []graph.SchedulePolicy{graph.PolicyFIFO, graph.PolicyMemGreedy} {
+		b.Run(policy.String(), func(b *testing.B) {
+			var fs graph.FootprintScratch
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.FootprintFromBatch(uniq, 1, 0, policy, &fs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*distinctKeyNodes), "ns/node-row")
+		})
+	}
+}
+
+// TestFootprintAtLeastOptimumWordLMCells compares both policies with the
+// exact optimum on the smallest word-LM training graphs (1 layer, vocab
+// 16, h 16, b 4): unrolled 1 step (52 nodes) and 2 steps (98 nodes; left
+// out under -short). Neither policy may read below the optimum.
+func TestFootprintAtLeastOptimumWordLMCells(t *testing.T) {
+	steps := []int{1, 2}
+	if testing.Short() {
+		steps = steps[:1]
+	}
+	env := symbolic.Env{"h": 16, "b": 4}
+	for _, seq := range steps {
+		g := models.BuildWordLM(models.WordLMConfig{Layers: 1, SeqLen: seq, Vocab: 16}).Graph
+		greedy, err := g.Footprint(env, graph.PolicyMemGreedy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fifo, err := g.Footprint(env, graph.PolicyFIFO)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, states, ok := graph.ExactOptimum(g, env, min(greedy.PeakTransientBytes, fifo.PeakTransientBytes))
+		t.Logf("%d nodes: optimum %v, mem-greedy %v, FIFO %v transient bytes (%d downsets)",
+			len(g.Nodes()), opt, greedy.PeakTransientBytes, fifo.PeakTransientBytes, states)
+		if !ok || greedy.PeakTransientBytes < opt || fifo.PeakTransientBytes < opt {
+			t.Fatalf("%d nodes: optimum %v (ok %v), mem-greedy %v, FIFO %v", len(g.Nodes()),
+				opt, ok, greedy.PeakTransientBytes, fifo.PeakTransientBytes)
+		}
 	}
 }

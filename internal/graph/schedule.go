@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -195,8 +196,10 @@ func (w *wiring) checkSizes(sizes []float64) error {
 
 // footprintSim holds every buffer one traversal simulation needs. Reusing
 // one across calls keeps repeated simulation allocation-free. A graph
-// needs 8 bytes per tensor and 12 per node, plus the ready heap: about
-// 1 MB for the 47,745-node, 54,337-tensor speech graph.
+// needs 8 bytes per tensor and 12 per node, plus the ready set's bitsets
+// (a bit per node for each bucket that has held two nodes at once) and
+// its overflow heap: about 1.1 MB for the 47,745-node, 54,337-tensor
+// speech graph.
 type footprintSim struct {
 	tensors []tensorRec // by tensor id, copied from the wiring's init
 	indeg   []int32     // by node: input edges whose producer has not run
@@ -233,13 +236,16 @@ func (fs *footprintSim) reset(w *wiring) {
 // ready node's key in the decrease-key step below and break the heap
 // invariant, so such a binding is an error naming the tensor.
 //
-// The ready set (readySet) orders nodes by the policy's priority (net
-// live-set delta for mem-greedy, insertion order for FIFO), with
-// decrease-key maintenance instead of a full rescan per pick. A ready
-// node's delta can only change when one of its input tensors drops to a
-// single remaining consumer — its own inputs cannot be freed and its
-// outputs cannot become live while it waits — so adjusting exactly that
-// consumer keeps every key equal to a fresh recomputation.
+// The ready set (readySet) yields nodes by the policy's key and then by
+// node id: the net live-set delta for mem-greedy, a constant for FIFO, whose
+// picks are then plain insertion order. Keys are maintained by decrease-key
+// instead of a full rescan per pick. A ready node's delta can only change
+// when one of its input tensors drops to a single remaining consumer — its
+// own inputs cannot be freed and its outputs cannot become live while it
+// waits — so adjusting exactly that consumer keeps every key equal to a
+// fresh recomputation. The set buckets the ready nodes by exact key, so
+// the ties that fill a training graph's ready set (hundreds of nodes over
+// a few distinct deltas) go to the lowest id without being ordered.
 func (fs *footprintSim) run(w *wiring, sizes []float64, policy SchedulePolicy) (ScheduleResult, error) {
 	if err := w.checkSizes(sizes); err != nil {
 		return ScheduleResult{}, err
@@ -259,15 +265,15 @@ func (fs *footprintSim) run(w *wiring, sizes []float64, policy SchedulePolicy) (
 
 	greedy := policy == PolicyMemGreedy
 	// keyFor orders the ready set: the net live-set change from executing
-	// n under mem-greedy, n's insertion index under FIFO. Ties break toward
-	// insertion order (the set compares node ids after keys): chained
-	// gradient accumulations only become ready in chain order, so honoring
-	// creation order lets each partial be folded into the running sum as
-	// soon as it is produced. AddNode makes every output an Activation
-	// that no other node produces, so no output is live before n runs.
+	// n under mem-greedy, 0 under FIFO. Ties break toward insertion order
+	// (the set compares node ids after keys): chained gradient
+	// accumulations only become ready in chain order, so honoring creation
+	// order lets each partial be folded into the running sum as soon as it
+	// is produced. AddNode makes every output an Activation that no other
+	// node produces, so no output is live before n runs.
 	keyFor := func(n int32) float64 {
 		if !greedy {
-			return float64(n)
+			return 0
 		}
 		var d float64
 		for _, t := range w.outIDs[w.outOff[n]:w.outOff[n+1]] {
@@ -367,86 +373,280 @@ func (e readyEntry) before(o readyEntry) bool {
 	return e.id < o.id
 }
 
-// inSlot marks, in readySet.pos, the node held in the slot.
-const inSlot = -2
+// Where a node waits, in readySet.loc: not ready, in the slot, in bucket b
+// (inBucket0 - b), or at that index (>= 0) of the overflow heap.
+const (
+	notReady  = -1
+	inSlot    = -2
+	inBucket0 = -3
+)
 
-// readySet holds the ready nodes: an indexed min-heap with a one-entry
-// slot in front of it. A node made ready takes the slot if it orders
-// before the slot's node, which moves into the heap; otherwise it goes
-// into the heap itself. A pick compares the slot with the heap top, so
-// nodes come out in the order the heap alone would give; but the node a
-// step makes ready is most often the next one picked, and from the slot
-// it skips the heap's push and pop.
+// maxBuckets caps the buckets live at once. On the domain graphs'
+// sweep-like rows (8 params × 4 subbatches) a mem-greedy ready set holds
+// 62–491 nodes on average on the recurrent domains, but 2.9–4.9 distinct
+// keys on average and at most 14 on any domain; a key that arrives while
+// every bucket is live waits in the overflow heap instead.
+const maxBuckets = 16
+
+// readySet holds the ready nodes and yields them in (key, id) order. A
+// pick takes the first of three fronts:
+//
+//   - a one-entry slot. A node made ready takes it if it orders before the
+//     slot's node, which moves into the rest of the set. The node a step
+//     makes ready is most often the next one picked, and from the slot it
+//     skips the rest;
+//   - up to maxBuckets buckets, one per distinct key, kept in ascending key
+//     order. A bucket holds its node ids in a hierarchical bitset, so its
+//     front is its lowest set bit, and the ties among hundreds of ready
+//     nodes cost no ordering work;
+//   - an overflow heap of (key, id) entries, for keys that find every
+//     bucket live. It bounds any key distribution, such as the pairwise
+//     distinct sizes of an uploaded graph, at O(log n) per operation.
+//
+// A key may sit in a bucket and in the heap at once; the fronts are still
+// each part's first (key, id), so picks are exactly the (key, id) minimum.
+// Storage is O(nodes): 4 bytes of location per node, one bit per node in
+// each bucket's bitset and up to 16 bytes per node of heap. It is reused
+// across resets, so a warm set allocates nothing.
 type readySet struct {
-	slot readyEntry   // id -1 when empty
-	heap []readyEntry // 4-ary min-heap by before
-	pos  []int32      // by node id: index into heap, inSlot, or -1 when absent
+	slot readyEntry // id -1 when empty
+	loc  []int32    // by node id: where it waits
+
+	live  [maxBuckets]uint8 // live[:nlive]: the live buckets by ascending key
+	nlive int
+	used  uint32              // bit b set while bucket b is live
+	key   [maxBuckets]float64 // by bucket
+	size  [maxBuckets]int32   // by bucket: its node count
+	low   [maxBuckets]int32   // by bucket: its lowest id
+	// sets holds each bucket's ids while it has two or more; a bucket of
+	// one node holds it in low alone. On the domain graphs 65–95% of
+	// buckets never hold a second node, so most never touch a bitset.
+	sets [maxBuckets][]uint64
+	// level holds the first word of each bitset level, bottom up: level 0
+	// has a bit per node id, and each level above a bit per word of the
+	// one below, set while that word is nonzero, up to a single top word.
+	level []int
+	words int // words per bitset
+
+	heap []readyEntry // overflow: 4-ary min-heap by before
 }
 
 // reset empties the set for a graph of n nodes, reusing prior storage.
-// The heap grows on demand: the ready set of a training graph is a small
-// fraction of its nodes.
+// Bitsets are laid out for the largest graph seen and allocated on first
+// use; the heap grows on demand.
 func (r *readySet) reset(n int) {
-	if cap(r.pos) < n {
-		r.pos = make([]int32, n)
+	if cap(r.loc) < n {
+		r.loc = make([]int32, n)
+		r.shape(n)
 	}
-	r.pos = r.pos[:n]
-	for i := range r.pos {
-		r.pos[i] = -1
+	r.loc = r.loc[:n]
+	for i := range r.loc {
+		r.loc[i] = notReady
 	}
+	// A bucket empties as its last node is picked, so after a drained run
+	// no bitset holds a bit; clear any that an abandoned run left.
+	for _, b := range r.live[:r.nlive] {
+		clear(r.sets[b])
+		r.size[b] = 0
+	}
+	r.nlive, r.used = 0, 0
 	r.heap = r.heap[:0]
 	r.slot.id = -1
 }
 
-func (r *readySet) contains(id int32) bool { return r.pos[id] != -1 }
+// shape lays the bitsets out for ids below n and drops the old ones.
+func (r *readySet) shape(n int) {
+	r.level = r.level[:0]
+	r.words = 0
+	for w := max(n, 1); ; {
+		w = (w + 63) / 64
+		r.level = append(r.level, r.words)
+		r.words += w
+		if w == 1 {
+			break
+		}
+	}
+	r.sets = [maxBuckets][]uint64{}
+}
+
+func (r *readySet) contains(id int32) bool { return r.loc[id] != notReady }
 
 // add makes node id ready with the given key. The better of it and the
-// slot's node takes the slot; the other goes into the heap.
+// slot's node takes the slot; the other goes into the rest of the set.
 func (r *readySet) add(id int32, key float64) {
 	e := readyEntry{key: key, id: id}
 	if r.slot.id >= 0 {
 		if !e.before(r.slot) {
-			r.push(e)
+			r.insert(e)
 			return
 		}
-		r.push(r.slot)
+		r.insert(r.slot)
 	}
 	r.slot = e
-	r.pos[id] = inSlot
+	r.loc[id] = inSlot
+}
+
+// insert files e in the bucket of its key, in a new bucket while one is
+// free, or else in the overflow heap.
+func (r *readySet) insert(e readyEntry) {
+	i := 0
+	for i < r.nlive && r.key[r.live[i]] < e.key {
+		i++
+	}
+	var b uint8
+	switch {
+	case i < r.nlive && r.key[r.live[i]] == e.key:
+		b = r.live[i]
+	case r.nlive < maxBuckets:
+		b = uint8(bits.TrailingZeros32(^r.used))
+		r.used |= 1 << b
+		r.key[b] = e.key
+		copy(r.live[i+1:r.nlive+1], r.live[i:r.nlive])
+		r.live[i] = b
+		r.nlive++
+	default:
+		r.push(e)
+		return
+	}
+	r.join(b, e.id)
+	r.loc[e.id] = inBucket0 - int32(b)
 }
 
 // next removes and returns the ready node that orders first, or -1 when
 // none is ready.
 func (r *readySet) next() int32 {
-	if r.slot.id >= 0 && (len(r.heap) == 0 || r.slot.before(r.heap[0])) {
-		id := r.slot.id
-		r.slot.id = -1
-		r.pos[id] = -1
-		return id
+	e, from := r.slot, int32(inSlot)
+	if r.nlive > 0 {
+		b := r.live[0]
+		if k, id := r.key[b], r.low[b]; e.id < 0 || k < e.key || k == e.key && id < e.id {
+			e, from = readyEntry{key: k, id: id}, inBucket0
+		}
 	}
-	if len(r.heap) == 0 {
+	if len(r.heap) > 0 && (e.id < 0 || r.heap[0].before(e)) {
+		e, from = r.heap[0], 0
+	}
+	switch {
+	case e.id < 0:
 		return -1
+	case from == inSlot:
+		r.slot.id = -1
+	case from == inBucket0:
+		if r.leave(r.live[0], e.id) {
+			r.drop(0)
+		}
+	default:
+		last := len(r.heap) - 1
+		tail := r.heap[last]
+		r.heap = r.heap[:last]
+		if last > 0 {
+			r.siftDown(0, tail)
+		}
 	}
-	top := r.heap[0].id
-	last := len(r.heap) - 1
-	e := r.heap[last]
-	r.heap = r.heap[:last]
-	r.pos[top] = -1
-	if last > 0 {
-		r.siftDown(0, e)
-	}
-	return top
+	r.loc[e.id] = notReady
+	return e.id
 }
 
-// decrease lowers id's key by by, which must not be negative.
+// decrease lowers id's key by by, which must not be negative. A node in a
+// bucket moves to the bucket of its new key.
 func (r *readySet) decrease(id int32, by float64) {
-	i := r.pos[id]
-	if i == inSlot {
+	switch l := r.loc[id]; {
+	case l == inSlot:
 		r.slot.key -= by
-		return
+	case l >= 0:
+		r.heap[l].key -= by
+		r.siftUp(int(l), r.heap[l])
+	default:
+		b := uint8(inBucket0 - l)
+		key := r.key[b] - by
+		if r.leave(b, id) {
+			i := 0
+			for r.live[i] != b {
+				i++
+			}
+			r.drop(i)
+		}
+		r.insert(readyEntry{key: key, id: id})
 	}
-	r.heap[i].key -= by
-	r.siftUp(int(i), r.heap[i])
+}
+
+// drop retires the live bucket at position i of live, whose bitset is
+// empty.
+func (r *readySet) drop(i int) {
+	r.used &^= 1 << r.live[i]
+	copy(r.live[i:r.nlive-1], r.live[i+1:r.nlive])
+	r.nlive--
+}
+
+// join adds id to bucket b.
+func (r *readySet) join(b uint8, id int32) {
+	switch r.size[b] {
+	case 0:
+		r.low[b] = id
+	case 1:
+		if r.sets[b] == nil {
+			r.sets[b] = make([]uint64, r.words)
+		}
+		r.set(b, r.low[b])
+		fallthrough
+	default:
+		r.set(b, id)
+		if id < r.low[b] {
+			r.low[b] = id
+		}
+	}
+	r.size[b]++
+}
+
+// leave removes id from bucket b and reports whether b is now empty.
+func (r *readySet) leave(b uint8, id int32) bool {
+	r.size[b]--
+	switch r.size[b] {
+	case 0:
+		return true
+	case 1:
+		r.unset(b, id)
+		r.unset(b, r.low[b])
+	default:
+		r.unset(b, id)
+	}
+	return false
+}
+
+// set adds id to bucket b's bitset.
+func (r *readySet) set(b uint8, id int32) {
+	w, i := r.sets[b], uint(id)
+	for _, off := range r.level {
+		p := &w[off+int(i>>6)]
+		old := *p
+		*p = old | 1<<(i&63)
+		if old != 0 {
+			return
+		}
+		i >>= 6
+	}
+}
+
+// unset removes id from bucket b's bitset. If id was the bucket's lowest
+// and others remain, the next lowest is found from the first word that
+// stays nonzero: every bit below id's is clear, so that word's lowest bit
+// leads down to it, most often in id's own word.
+func (r *readySet) unset(b uint8, id int32) {
+	w, i := r.sets[b], uint(id)
+	for l, off := range r.level {
+		p := &w[off+int(i>>6)]
+		*p &^= 1 << (i & 63)
+		if *p != 0 {
+			if id == r.low[b] {
+				j := int(i&^63) | bits.TrailingZeros64(*p)
+				for l--; l >= 0; l-- {
+					j = j<<6 | bits.TrailingZeros64(w[r.level[l]+j])
+				}
+				r.low[b] = int32(j)
+			}
+			return
+		}
+		i >>= 6
+	}
 }
 
 func (r *readySet) push(e readyEntry) {
@@ -454,9 +654,8 @@ func (r *readySet) push(e readyEntry) {
 	r.siftUp(len(r.heap)-1, e)
 }
 
-// heapArity is the heap's fan-out. Four children per entry halve the depth
-// of a binary heap for a few more comparisons per level, which the ready
-// sets here (hundreds of entries) repay.
+// heapArity is the overflow heap's fan-out. Four children per entry halve
+// the depth of a binary heap for a few more comparisons per level.
 const heapArity = 4
 
 // siftUp places e, now at i, moving parents down while e orders before
@@ -469,11 +668,11 @@ func (r *readySet) siftUp(i int, e readyEntry) {
 			break
 		}
 		r.heap[i] = p
-		r.pos[p.id] = int32(i)
+		r.loc[p.id] = int32(i)
 		i = parent
 	}
 	r.heap[i] = e
-	r.pos[e.id] = int32(i)
+	r.loc[e.id] = int32(i)
 }
 
 // siftDown places e in the hole at i, moving the first-ordered child up
@@ -495,11 +694,11 @@ func (r *readySet) siftDown(i int, e readyEntry) {
 			break
 		}
 		r.heap[i] = minE
-		r.pos[minE.id] = int32(i)
+		r.loc[minE.id] = int32(i)
 		i = min
 	}
 	r.heap[i] = e
-	r.pos[e.id] = int32(i)
+	r.loc[e.id] = int32(i)
 }
 
 // AllocatorSim models a framework allocator with a fixed device capacity, as

@@ -176,10 +176,6 @@ func (a Accelerator) Fits(footprintBytes float64) bool {
 // ---------------------------------------------------------------------------
 // Subbatch selection (paper §5.2.1, Figure 11)
 
-// StepEval evaluates a training step at a given subbatch size, returning the
-// per-step algorithmic FLOPs, bytes accessed, and memory footprint.
-type StepEval func(subbatch float64) (flops, bytes, footprint float64, err error)
-
 // SubbatchPoint is one sample of the Figure 11 sweep.
 type SubbatchPoint struct {
 	Subbatch       float64 `json:"subbatch"`
@@ -190,37 +186,6 @@ type SubbatchPoint struct {
 	TimePerSample  float64 `json:"time_per_sample"`
 	FootprintBytes float64 `json:"footprint_bytes"`
 	Utilization    float64 `json:"utilization"`
-}
-
-// SubbatchSweep evaluates the step across subbatch sizes (Figure 11's x axis).
-// A zero-byte step reports zero intensity rather than dividing by zero:
-// ±Inf/NaN intensities would poison ChooseSubbatch's policy scans and are
-// not JSON-serializable, and "no traffic" has no meaningful operational
-// intensity to rank on.
-func SubbatchSweep(eval StepEval, acc Accelerator, subbatches []float64) ([]SubbatchPoint, error) {
-	out := make([]SubbatchPoint, 0, len(subbatches))
-	for _, b := range subbatches {
-		f, by, fp, err := eval(b)
-		if err != nil {
-			return nil, fmt.Errorf("hw: subbatch %v: %w", b, err)
-		}
-		t := acc.StepTime(f, by)
-		intensity := 0.0
-		if by > 0 {
-			intensity = f / by
-		}
-		out = append(out, SubbatchPoint{
-			Subbatch:       b,
-			FLOPs:          f,
-			Bytes:          by,
-			Intensity:      intensity,
-			StepTime:       t,
-			TimePerSample:  t / b,
-			FootprintBytes: fp,
-			Utilization:    acc.Utilization(f, t),
-		})
-	}
-	return out, nil
 }
 
 // SubbatchPolicy selects among the three §5.2.1 points of interest.

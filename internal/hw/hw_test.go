@@ -1,13 +1,15 @@
-package hw
+package hw_test
 
 import (
-	"errors"
 	"math"
 	"testing"
+
+	"catamount/internal/costmodel"
+	"catamount/internal/hw"
 )
 
 func TestTargetAcceleratorRidgePoints(t *testing.T) {
-	a := TargetAccelerator()
+	a := hw.TargetAccelerator()
 	// Paper §5.2: ridge point 17.4 FLOP/B, rising to 19.9 with achievable
 	// throughputs.
 	if r := a.RidgePoint(); math.Abs(r-17.45) > 0.1 {
@@ -19,7 +21,7 @@ func TestTargetAcceleratorRidgePoints(t *testing.T) {
 }
 
 func TestStepTimeRoofline(t *testing.T) {
-	a := TargetAccelerator()
+	a := hw.TargetAccelerator()
 	// Compute-bound: intensity far above ridge.
 	flops, bytes := 1e15, 1e12
 	want := flops / (0.8 * a.PeakFLOPS)
@@ -41,7 +43,7 @@ func TestStepTimeRoofline(t *testing.T) {
 }
 
 func TestUtilizationBestCase(t *testing.T) {
-	a := TargetAccelerator()
+	a := hw.TargetAccelerator()
 	// A perfectly compute-bound workload achieves exactly the achievable
 	// fraction (80%).
 	flops := 1e15
@@ -55,26 +57,40 @@ func TestUtilizationBestCase(t *testing.T) {
 }
 
 func TestFits(t *testing.T) {
-	a := TargetAccelerator()
+	a := hw.TargetAccelerator()
 	if !a.Fits(31e9) || a.Fits(33e9) {
 		t.Fatal("Fits misjudges 32GB capacity")
 	}
 }
 
-// syntheticEval mimics a recurrent model: flops ∝ b, bytes = fixed + c·b.
-func syntheticEval(fixedBytes, bytesPerSample, flopsPerSample float64) StepEval {
-	return func(b float64) (float64, float64, float64, error) {
-		return flopsPerSample * b, fixedBytes + bytesPerSample*b, 1e9 + 1e7*b, nil
+// sweep prices a step whose FLOPs and bytes at subbatch b are cost(b)
+// through the graph-level costmodel.SubbatchSweep.
+func sweep(a hw.Accelerator, subbatches []float64, cost func(b float64) (flops, bytes float64)) []hw.SubbatchPoint {
+	c := &costmodel.CostsBatch{Rows: len(subbatches)}
+	for _, b := range subbatches {
+		f, by := cost(b)
+		c.FLOPs = append(c.FLOPs, f)
+		c.Bytes = append(c.Bytes, by)
 	}
+	return costmodel.SubbatchSweep(c, subbatches, a, costmodel.GraphRoofline{})
+}
+
+// syntheticSweep mimics a recurrent model over subbatches 1 to 2^18:
+// flops ∝ b, bytes = fixed + c·b, and a footprint of 1e9 + 1e7·b bytes,
+// which the cost-only sweep leaves to its caller.
+func syntheticSweep(a hw.Accelerator, fixedBytes, bytesPerSample, flopsPerSample float64) []hw.SubbatchPoint {
+	pts := sweep(a, hw.PowersOfTwo(18), func(b float64) (float64, float64) {
+		return flopsPerSample * b, fixedBytes + bytesPerSample*b
+	})
+	for i := range pts {
+		pts[i].FootprintBytes = 1e9 + 1e7*pts[i].Subbatch
+	}
+	return pts
 }
 
 func TestSubbatchSweepMonotoneIntensity(t *testing.T) {
-	a := TargetAccelerator()
-	eval := syntheticEval(4e9, 1e6, 481e9)
-	pts, err := SubbatchSweep(eval, a, PowersOfTwo(18))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := hw.TargetAccelerator()
+	pts := syntheticSweep(a, 4e9, 1e6, 481e9)
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Intensity < pts[i-1].Intensity {
 			t.Fatalf("intensity not monotone at %v", pts[i].Subbatch)
@@ -91,21 +107,17 @@ func TestSubbatchSweepMonotoneIntensity(t *testing.T) {
 }
 
 func TestChooseSubbatchPolicies(t *testing.T) {
-	a := TargetAccelerator()
-	eval := syntheticEval(4e9, 1e6, 481e9)
-	pts, err := SubbatchSweep(eval, a, PowersOfTwo(18))
+	a := hw.TargetAccelerator()
+	pts := syntheticSweep(a, 4e9, 1e6, 481e9)
+	minT, err := hw.ChooseSubbatch(pts, a, hw.MinTimePerSample, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	minT, err := ChooseSubbatch(pts, a, MinTimePerSample, 0.05)
+	ridge, err := hw.ChooseSubbatch(pts, a, hw.RidgePointMatch, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ridge, err := ChooseSubbatch(pts, a, RidgePointMatch, 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sat, err := ChooseSubbatch(pts, a, IntensitySaturation, 0.05)
+	sat, err := hw.ChooseSubbatch(pts, a, hw.IntensitySaturation, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +142,8 @@ func TestChooseSubbatchPolicies(t *testing.T) {
 }
 
 func TestChooseSubbatchEmpty(t *testing.T) {
-	for _, pol := range []SubbatchPolicy{MinTimePerSample, RidgePointMatch, IntensitySaturation} {
-		if _, err := ChooseSubbatch(nil, TargetAccelerator(), pol, 0.05); err == nil {
+	for _, pol := range []hw.SubbatchPolicy{hw.MinTimePerSample, hw.RidgePointMatch, hw.IntensitySaturation} {
+		if _, err := hw.ChooseSubbatch(nil, hw.TargetAccelerator(), pol, 0.05); err == nil {
 			t.Fatalf("%s: expected error for empty sweep", pol)
 		}
 	}
@@ -139,9 +151,9 @@ func TestChooseSubbatchEmpty(t *testing.T) {
 
 func TestChooseSubbatchSinglePoint(t *testing.T) {
 	// A one-point sweep is its own optimum under every policy.
-	pt := SubbatchPoint{Subbatch: 32, Intensity: 100, TimePerSample: 1e-6}
-	for _, pol := range []SubbatchPolicy{MinTimePerSample, RidgePointMatch, IntensitySaturation} {
-		got, err := ChooseSubbatch([]SubbatchPoint{pt}, TargetAccelerator(), pol, 0.05)
+	pt := hw.SubbatchPoint{Subbatch: 32, Intensity: 100, TimePerSample: 1e-6}
+	for _, pol := range []hw.SubbatchPolicy{hw.MinTimePerSample, hw.RidgePointMatch, hw.IntensitySaturation} {
+		got, err := hw.ChooseSubbatch([]hw.SubbatchPoint{pt}, hw.TargetAccelerator(), pol, 0.05)
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
@@ -154,18 +166,18 @@ func TestChooseSubbatchSinglePoint(t *testing.T) {
 func TestChooseSubbatchDegenerateSweepErrors(t *testing.T) {
 	// NaN costs used to fall through to "silently return the last point";
 	// they must now surface as explicit errors for the tolerance policies.
-	nanPts := []SubbatchPoint{
+	nanPts := []hw.SubbatchPoint{
 		{Subbatch: 1, TimePerSample: math.NaN(), Intensity: math.NaN()},
 		{Subbatch: 2, TimePerSample: math.NaN(), Intensity: math.NaN()},
 	}
-	if _, err := ChooseSubbatch(nanPts, TargetAccelerator(), MinTimePerSample, 0.05); err == nil {
+	if _, err := hw.ChooseSubbatch(nanPts, hw.TargetAccelerator(), hw.MinTimePerSample, 0.05); err == nil {
 		t.Fatal("min-time-per-sample: expected error for all-NaN sweep")
 	}
-	if _, err := ChooseSubbatch(nanPts, TargetAccelerator(), IntensitySaturation, 0.05); err == nil {
+	if _, err := hw.ChooseSubbatch(nanPts, hw.TargetAccelerator(), hw.IntensitySaturation, 0.05); err == nil {
 		t.Fatal("intensity-saturation: expected error for all-NaN sweep")
 	}
-	// RidgePointMatch keeps its documented closest-approach fallback.
-	got, err := ChooseSubbatch(nanPts, TargetAccelerator(), RidgePointMatch, 0.05)
+	// hw.RidgePointMatch keeps its documented closest-approach fallback.
+	got, err := hw.ChooseSubbatch(nanPts, hw.TargetAccelerator(), hw.RidgePointMatch, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,23 +187,14 @@ func TestChooseSubbatchDegenerateSweepErrors(t *testing.T) {
 }
 
 func TestChooseSubbatchUnknownPolicy(t *testing.T) {
-	pts := []SubbatchPoint{{Subbatch: 1, TimePerSample: 1, Intensity: 1}}
-	if _, err := ChooseSubbatch(pts, TargetAccelerator(), SubbatchPolicy(99), 0.05); err == nil {
+	pts := []hw.SubbatchPoint{{Subbatch: 1, TimePerSample: 1, Intensity: 1}}
+	if _, err := hw.ChooseSubbatch(pts, hw.TargetAccelerator(), hw.SubbatchPolicy(99), 0.05); err == nil {
 		t.Fatal("expected error for unknown policy")
 	}
 }
 
-func TestSubbatchSweepPropagatesError(t *testing.T) {
-	bad := func(float64) (float64, float64, float64, error) {
-		return 0, 0, 0, errors.New("boom")
-	}
-	if _, err := SubbatchSweep(bad, TargetAccelerator(), []float64{1}); err == nil {
-		t.Fatal("expected propagated error")
-	}
-}
-
 func TestPowersOfTwo(t *testing.T) {
-	p := PowersOfTwo(3)
+	p := hw.PowersOfTwo(3)
 	want := []float64{1, 2, 4, 8}
 	if len(p) != len(want) {
 		t.Fatalf("len = %d", len(p))

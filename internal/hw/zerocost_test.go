@@ -1,8 +1,10 @@
-package hw
+package hw_test
 
 import (
 	"math"
 	"testing"
+
+	"catamount/internal/hw"
 )
 
 // Regression tests for the divide-by-zero hazards: a step reporting zero
@@ -10,7 +12,7 @@ import (
 // without producing NaN or Inf anywhere in the point.
 
 func TestStepTimeZeroWork(t *testing.T) {
-	a := TargetAccelerator()
+	a := hw.TargetAccelerator()
 	if got := a.StepTime(0, 0); got != 0 {
 		t.Fatalf("StepTime(0, 0) = %v, want 0", got)
 	}
@@ -23,13 +25,9 @@ func TestStepTimeZeroWork(t *testing.T) {
 }
 
 func TestSubbatchSweepZeroBytes(t *testing.T) {
-	a := TargetAccelerator()
+	a := hw.TargetAccelerator()
 	// A compute-only step: bytes stay zero at every subbatch.
-	eval := func(b float64) (float64, float64, float64, error) { return 1e9 * b, 0, 0, nil }
-	pts, err := SubbatchSweep(eval, a, PowersOfTwo(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweep(a, hw.PowersOfTwo(4), func(b float64) (float64, float64) { return 1e9 * b, 0 })
 	for _, p := range pts {
 		for name, v := range map[string]float64{
 			"intensity": p.Intensity, "step_time": p.StepTime,
@@ -44,22 +42,18 @@ func TestSubbatchSweepZeroBytes(t *testing.T) {
 		}
 	}
 	// The zero-traffic points must still be rankable by every policy.
-	for _, pol := range []SubbatchPolicy{MinTimePerSample, RidgePointMatch, IntensitySaturation} {
-		if _, err := ChooseSubbatch(pts, a, pol, 0.05); err != nil {
+	for _, pol := range []hw.SubbatchPolicy{hw.MinTimePerSample, hw.RidgePointMatch, hw.IntensitySaturation} {
+		if _, err := hw.ChooseSubbatch(pts, a, pol, 0.05); err != nil {
 			t.Fatalf("%s on zero-byte sweep: %v", pol, err)
 		}
 	}
 }
 
 func TestSubbatchSweepZeroWork(t *testing.T) {
-	a := TargetAccelerator()
+	a := hw.TargetAccelerator()
 	// A fully degenerate step: no FLOPs, no bytes. Previously Intensity was
 	// 0/0 = NaN, which broke JSON encoding and policy scans.
-	eval := func(b float64) (float64, float64, float64, error) { return 0, 0, 0, nil }
-	pts, err := SubbatchSweep(eval, a, PowersOfTwo(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweep(a, hw.PowersOfTwo(3), func(float64) (float64, float64) { return 0, 0 })
 	for _, p := range pts {
 		if math.IsNaN(p.Intensity) || math.IsNaN(p.StepTime) || math.IsNaN(p.TimePerSample) {
 			t.Fatalf("subbatch %g: NaN in %+v", p.Subbatch, p)
